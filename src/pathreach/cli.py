@@ -48,13 +48,17 @@ class _InputError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            # Decode stdin as strict UTF-8 like files, whatever the locale.
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def _load_graph(path: str) -> Digraph:

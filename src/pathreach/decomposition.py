@@ -75,9 +75,10 @@ class Walk:
 class WalkDecomposition:
     """An ordered family of walks.
 
-    Derived lookup tables (first/last occurrence of each vertex in each
-    walk) are built lazily and cached; they are query-independent input
-    representation, shared by all reachability queries on the instance.
+    The derived occurrence index (per vertex, its first and last position
+    in each walk that contains it) is built lazily and cached; it is
+    query-independent input representation, shared by all reachability
+    queries on the instance.
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
@@ -101,29 +102,23 @@ class WalkDecomposition:
         return self.max_vertex + 1
 
     @cached_property
-    def first_positions(self) -> tuple[list[int], ...]:
-        """Per walk, a vertex-indexed table of first occurrence (-1 if absent)."""
-        nv = self.implied_vertex_count
-        tables = []
-        for walk in self._walks:
-            row = [-1] * nv
-            vs = walk.vertices
-            for pos in range(len(vs) - 1, -1, -1):
-                row[vs[pos]] = pos
-            tables.append(row)
-        return tuple(tables)
+    def occurrences(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """Per vertex, one (walk, first, last) entry for each walk it occurs in.
 
-    @cached_property
-    def last_positions(self) -> tuple[list[int], ...]:
-        """Per walk, a vertex-indexed table of last occurrence (-1 if absent)."""
-        nv = self.implied_vertex_count
-        tables = []
-        for walk in self._walks:
-            row = [-1] * nv
+        Entries are in walk order; first and last are the smallest and
+        largest position of the vertex in that walk.  Only vertices that
+        occur are keys, so the index is sized by the input, not by the
+        largest vertex id.
+        """
+        index: dict[int, list[tuple[int, int, int]]] = {}
+        for i, walk in enumerate(self._walks):
+            last = {v: pos for pos, v in enumerate(walk.vertices)}
+            first: dict[int, int] = {}
             for pos, v in enumerate(walk.vertices):
-                row[v] = pos
-            tables.append(row)
-        return tuple(tables)
+                first.setdefault(v, pos)
+            for v, pos in first.items():
+                index.setdefault(v, []).append((i, pos, last[v]))
+        return {v: tuple(entries) for v, entries in index.items()}
 
     def __len__(self) -> int:
         return len(self._walks)

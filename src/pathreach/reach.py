@@ -9,6 +9,11 @@ the target is first detected is therefore the minimum number of switches
 needed, and the working state per query is the 2k registers plus a fixed
 handful of scalars, independent of the graph size.
 
+The engine reads the decomposition's read-only occurrence index: per
+vertex, the (walk, first, last) entry of every walk it occurs in.  A
+scanned position therefore checks only the walks that contain its
+vertex, not all k registers.
+
 The frontier is advanced once while initializing, so that after round l
 the registers point at the earliest vertices reachable with at most l
 switches and the round-l target check answers "reachable with at most l
@@ -22,19 +27,20 @@ from dataclasses import dataclass
 from .decomposition import Walk, WalkDecomposition
 
 # Register value meaning "no position known"; larger than any real position
-# so that comparisons against occurrence tables fail without branching.
+# so that comparisons against occurrence positions fail without branching.
 _ABSENT = 1 << 60
 
 # Scalar index-sized locals live during a query, on top of the 2k registers:
 # walk cursors i and j, scan position q, scanned vertex v, scan limit,
-# the round counter, and the change flag of the current round.
-_QUERY_SCRATCH_WORDS = 7
+# the cursor into the occurrence entries of v, the round counter, and the
+# change flag of the current round.
+_QUERY_SCRATCH_WORDS = 8
 
 
 class RegisterMeter:
     """Counts index-sized working cells; peak_words is the high-water mark.
 
-    Read-only input (the decomposition, its cached occurrence tables, the
+    Read-only input (the decomposition, its cached occurrence index, the
     graph) is not counted, only per-query working state.
     """
 
@@ -108,29 +114,28 @@ def advance_frontier(w: WalkDecomposition, regs: FrontierRegisters) -> FrontierR
             raise ValueError(f"register c[{i}]={ci} outside walk {i}")
     c = [_ABSENT if ci is None else ci for ci in regs.c]
     d = [_ABSENT] * k
-    _advance([walk.vertices for walk in w], w.last_positions, c, d)
+    _advance([walk.vertices for walk in w], w.occurrences, c, d)
     out = tuple(None if x == _ABSENT else x for x in d)
     return FrontierRegisters(c=out, d=out)
 
 
-def _advance(seqs, last, c, d) -> bool:
+def _advance(seqs, occ, c, d) -> bool:
     """Compute the next frontier from c into d; return whether it moved.
 
-    last[i] maps vertex id to its last position in walk i (-1 if absent),
-    so "occurs at or after c[i]" is the comparison last[i][v] >= c[i].
-    Scanning walk j can stop at c[j]: positions from there on qualify
-    already, hence d[j] never exceeds c[j].
+    occ[v] lists a (walk i, first, last) entry for each walk containing v,
+    so "v occurs at or after c[i]" is the comparison last >= c[i], made
+    only for the walks in which v occurs.  Scanning walk j can stop at
+    c[j]: positions from there on qualify already, hence d[j] never
+    exceeds c[j].
     """
     changed = False
-    k = len(seqs)
-    for j in range(k):
+    for j in range(len(seqs)):
         vs = seqs[j]
         new_cj = c[j]
         lim = new_cj if new_cj < len(vs) else len(vs)
         for q in range(lim):
-            v = vs[q]
-            for i in range(k):
-                if last[i][v] >= c[i]:
+            for i, _, last in occ[vs[q]]:
+                if last >= c[i]:
                     new_cj = q
                     break
             if new_cj == q:
@@ -172,36 +177,31 @@ def decide_reachability(
     if s == t:
         return ReachResult(True, 0, 0, peak)
 
-    first = w.first_positions
-    last = w.last_positions
+    occ = w.occurrences
     seqs = [walk.vertices for walk in w]
 
-    c = [_ABSENT] * k
-    if s < nv:
-        for i in range(k):
-            fp = first[i][s]
-            if fp >= 0:
-                c[i] = fp
-    if all(x == _ABSENT for x in c):
+    source = occ.get(s)
+    if source is None:
         return ReachResult(False, None, 0, peak)
+    c = [_ABSENT] * k
+    for i, first, _ in source:
+        c[i] = first
 
-    t_present = t < nv
-    if t_present:
-        for i in range(k):
-            if last[i][t] >= c[i]:
-                return ReachResult(True, 0, 0, peak)
+    target = occ.get(t, ())
+    for i, _, last in target:
+        if last >= c[i]:
+            return ReachResult(True, 0, 0, peak)
 
     d = [_ABSENT] * k
-    _advance(seqs, last, c, d)
+    _advance(seqs, occ, c, d)
     c, d = d, c
 
     iterations = 0
     while True:
         iterations += 1
-        if t_present:
-            for i in range(k):
-                if last[i][t] >= c[i]:
-                    return ReachResult(True, iterations, iterations, peak)
-        if not _advance(seqs, last, c, d):
+        for i, _, last in target:
+            if last >= c[i]:
+                return ReachResult(True, iterations, iterations, peak)
+        if not _advance(seqs, occ, c, d):
             return ReachResult(False, None, iterations, peak)
         c, d = d, c

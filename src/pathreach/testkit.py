@@ -55,22 +55,26 @@ def oracle_reachable(g: Digraph, s: int, t: int) -> bool:
     return t in reachable_set(g, s)
 
 
-def switch_costs(w: WalkDecomposition, s: int, n: int | None = None) -> list[int | None]:
-    """Minimum switch count from s to every vertex, None where unreachable.
-
-    Runs a 0/1 shortest-path search on the occurrence graph: nodes are
-    (walk, position) pairs, advancing one position inside a walk is free,
-    and hopping between two occurrences of the same vertex (possibly in
-    the same walk) costs one switch.  Entry at any occurrence of s is
-    free, and s costs 0 even when it occurs nowhere.
-    """
+def _universe(w: WalkDecomposition, s: int, n: int | None) -> int:
     nv = w.implied_vertex_count
     universe = nv if n is None else n
     if universe < nv:
         raise ValueError(f"universe {universe} smaller than implied vertex count {nv}")
     if not (0 <= s < universe):
         raise ValueError(f"source {s} outside [0, {universe})")
+    return universe
 
+
+def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
+    """Minimum switch count from s to every vertex reachable from it.
+
+    Runs a 0/1 shortest-path search on the occurrence graph: nodes are
+    (walk, position) pairs, advancing one position inside a walk is free,
+    and hopping between two occurrences of the same vertex (possibly in
+    the same walk) costs one switch.  Entry at any occurrence of s is
+    free, and s costs 0 even when it occurs nowhere.  Keyed by vertex, so
+    the result is sized by the input, not by the largest vertex id.
+    """
     occ: dict[int, list[tuple[int, int]]] = {}
     for i, walk in enumerate(w):
         for p, v in enumerate(walk.vertices):
@@ -94,29 +98,32 @@ def switch_costs(w: WalkDecomposition, s: int, n: int | None = None) -> list[int
                 dist[j][q] = cost + 1
                 queue.append((cost + 1, j, q))
 
-    best: list[int | None] = [None] * universe
+    best = {s: 0}
     for i, walk in enumerate(w):
         row = dist[i]
         for p, v in enumerate(walk.vertices):
             c = row[p]
-            if c is not None and (best[v] is None or c < best[v]):
+            if c is not None and (v not in best or c < best[v]):
                 best[v] = c
-    best[s] = 0
+    return best
+
+
+def switch_costs(w: WalkDecomposition, s: int, n: int | None = None) -> list[int | None]:
+    """Minimum switch count from s to every vertex in [0, n), None where
+    unreachable; see _switch_cost_map for the search."""
+    best: list[int | None] = [None] * _universe(w, s, n)
+    for v, c in _switch_cost_map(w, s).items():
+        best[v] = c
     return best
 
 
 def oracle_min_switches(
     w: WalkDecomposition, s: int, t: int, n: int | None = None
 ) -> int | None:
-    nv = w.implied_vertex_count
-    universe = nv if n is None else n
+    universe = _universe(w, s, n)
     if not (0 <= t < universe):
         raise ValueError(f"target {t} outside [0, {universe})")
-    if s == t:
-        if not (0 <= s < universe):
-            raise ValueError(f"source {s} outside [0, {universe})")
-        return 0
-    return switch_costs(w, s, n=universe)[t]
+    return _switch_cost_map(w, s).get(t)
 
 
 def gen_decomposed_instance(spec: InstanceSeed) -> WalkDecomposition:

@@ -1,9 +1,14 @@
+import os
 import re
+import resource
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import pathreach
 from pathreach.cli import run
 from pathreach.decomposition import parse_decomposition
 from pathreach.graph import format_graph, parse_graph
@@ -80,6 +85,58 @@ class TestReach:
         code = run(["min-switches", "--decomp", overlap_decomp, "--from", "8", "--to", "1"])
         assert code == 1
         assert capsys.readouterr().out.strip() == "UNREACHABLE"
+
+
+def _cli_subprocess(args, **kwargs):
+    """Run `python -m pathreach ARGS` with this checkout's package importable."""
+    src = str(Path(pathreach.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "pathreach", *args], env=env,
+                          capture_output=True, timeout=60, **kwargs)
+
+
+def _run_capped(args):
+    """Run the CLI with its address space capped at 1 GB, so a table sized
+    by the largest vertex id fails fast with MemoryError instead of pushing
+    the machine into swap.  Returns the process and its wall time."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = _cli_subprocess(args, preexec_fn=cap, text=True)
+    return proc, time.perf_counter() - start
+
+
+class TestHugeVertexIds:
+    # Memory follows the input, not the largest id: a one-line walk with
+    # an id near 3e9 must answer at once in both directions.
+    @pytest.fixture
+    def huge_decomp(self, tmp_path):
+        path = tmp_path / "huge.walks"
+        path.write_text("0 3000000000\n")
+        return str(path)
+
+    def test_reach_forward(self, huge_decomp):
+        proc, elapsed = _run_capped(
+            ["reach", "--decomp", huge_decomp, "--from", "0", "--to", "3000000000"])
+        assert proc.returncode == 0, proc.stderr
+        assert REACHABLE_RE.match(proc.stdout.strip()).group(1) == "0"
+        assert elapsed < 2.0
+
+    def test_min_switches_backward(self, huge_decomp):
+        proc, elapsed = _run_capped(
+            ["min-switches", "--decomp", huge_decomp, "--from", "3000000000", "--to", "0"])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout.strip() == "UNREACHABLE"
+        assert elapsed < 2.0
+
+    def test_oracle_agrees(self, huge_decomp):
+        proc, elapsed = _run_capped(
+            ["oracle", "--decomp", huge_decomp, "--from", "0", "--to", "3000000000"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "REACHABLE switches=0"
+        assert elapsed < 2.0
 
 
 class TestValidate:
@@ -229,6 +286,26 @@ class TestPlumbing:
         bad.write_text("e 0 1\n")
         assert run(["pathnum-lb", "--graph", str(bad)]) == 2
         assert "before header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["reach", "--from", "0", "--to", "1", "--decomp"],
+        ["pathnum-lb", "--graph"],
+    ])
+    def test_undecodable_file(self, tmp_path, capsys, args):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"0 1\n\xff 2\n")
+        assert run([*args, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {bad}: not valid UTF-8 (invalid start byte)"]
+
+    def test_undecodable_stdin(self):
+        proc = _cli_subprocess(["reach", "--decomp", "-", "--from", "0", "--to", "1"],
+                               input=b"0 1\n\xff 2\n")
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            "error: -: not valid UTF-8 (invalid start byte)"]
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         import io

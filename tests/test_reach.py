@@ -183,6 +183,22 @@ class TestMeter:
         assert len(peaks) == 1
 
 
+@given(instances())
+@settings(max_examples=150, deadline=None)
+def test_occurrence_index_matches_scan(w):
+    # Per vertex, one (walk, first, last) entry per walk containing it, in
+    # walk order; vertices that occur nowhere are not keys.
+    occ = w.occurrences
+    assert set(occ) == {v for walk in w for v in walk.vertices}
+    for v in range(w.implied_vertex_count + 2):
+        expected = []
+        for i, walk in enumerate(w):
+            positions = [q for q, u in enumerate(walk.vertices) if u == v]
+            if positions:
+                expected.append((i, min(positions), max(positions)))
+        assert occ.get(v, ()) == tuple(expected)
+
+
 @given(instances(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_matches_oracles(w, data):
