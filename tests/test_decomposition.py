@@ -182,6 +182,42 @@ class TestFileFormat:
         assert format_decomposition(WalkDecomposition()) == ""
 
 
+# Every parse_decomposition diagnostic, exact: (file text, message).
+DECOMPOSITION_DIAGNOSTICS = [
+    ("0 x 2\n", "line 1: walk lines must contain integers"),
+    ("0 1\n\n# c\n2 1.5\n", "line 4: walk lines must contain integers"),
+    ("-1 x\n", "line 1: walk lines must contain integers"),
+    ("0 -4 2\n", "line 1: negative vertex id -4"),
+    ("0 1\n3 3\n", "line 2: loop step (3, 3) is not allowed"),
+    ("7 1 2 2\n", "line 1: loop step (2, 2) is not allowed"),
+    # The first offending value wins; negative ids are checked before loops.
+    ("3 -1 -2\n", "line 1: negative vertex id -1"),
+    ("0 1 1 -1\n", "line 1: negative vertex id -1"),
+    ("4 4 5 5\n", "line 1: loop step (4, 4) is not allowed"),
+    ("0 1\r\n\r\n1 1\r\n2 -3\r\n", "line 3: loop step (1, 1) is not allowed"),
+]
+
+
+@pytest.mark.parametrize("text, message", DECOMPOSITION_DIAGNOSTICS)
+def test_parse_decomposition_diagnostic(text, message):
+    with pytest.raises(DecompositionFormatError) as info:
+        parse_decomposition(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([], "a walk needs at least one vertex"),
+    ([0, -1], "negative vertex id -1"),
+    ([2, -7, -1, 2, 2], "negative vertex id -7"),
+    ([0, 0], "loop step (0, 0) is not allowed"),
+    ([1, 2, 1, 3, 3, 4, 4], "loop step (3, 3) is not allowed"),
+])
+def test_walk_diagnostic(vertices, message):
+    with pytest.raises(ValueError) as info:
+        Walk(vertices)
+    assert str(info.value) == message
+
+
 @st.composite
 def path_decompositions(draw):
     # Build a valid path decomposition directly: simple vertex-disjoint-in-use

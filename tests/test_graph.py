@@ -76,6 +76,53 @@ class TestParse:
         assert parse_graph(format_graph(g)) == g
 
 
+# Every parse_graph diagnostic, exact: (file text, message).
+GRAPH_DIAGNOSTICS = [
+    ("n 2\nn 3\n", "line 2: duplicate header line"),
+    ("n 2\nn 3 4\n", "line 2: duplicate header line"),
+    ("n 2 3\n", "line 1: header must be 'n <N>'"),
+    ("n\n", "line 1: header must be 'n <N>'"),
+    ("n -1\n", "line 1: vertex count must be nonnegative"),
+    ("# c\ne 0 1\nn 2\n", "line 2: edge line before header"),
+    ("e 0\nn 2\n", "line 1: edge line before header"),
+    ("n 2\ne 0\n", "line 2: edge line must be 'e <u> <v>'"),
+    ("n 2\ne 0 1 1\n", "line 2: edge line must be 'e <u> <v>'"),
+    ("n 2\ne\n", "line 2: edge line must be 'e <u> <v>'"),
+    ("n 2\ne 1 1\n", "line 2: loop edge (1, 1)"),
+    ("n 2\ne 5 5\n", "line 2: loop edge (5, 5)"),
+    ("n 2\ne 0 2\n", "line 2: vertex id outside [0, 2)"),
+    ("n 2\ne -1 0\n", "line 2: vertex id outside [0, 2)"),
+    ("n 0\ne 0 1\n", "line 2: vertex id outside [0, 0)"),
+    ("n 2\ne 0 1\ne 0 1\n", "line 3: duplicate edge (0, 1)"),
+    ("n 3\ne 00 1\ne 0 +1\n", "line 3: duplicate edge (0, 1)"),
+    ("n two\n", "line 1: expected integer, got 'two'"),
+    ("n 2\ne 0 x\n", "line 2: expected integer, got 'x'"),
+    ("n 2\ne y x\n", "line 2: expected integer, got 'y'"),
+    ("n 2\ne 0 1.0\n", "line 2: expected integer, got '1.0'"),
+    ("n 2\nx 0 1\n", "line 2: unknown directive 'x'"),
+    ("n 2\ne0 1\n", "line 2: unknown directive 'e0'"),
+    ("n 2\nN 2\n", "line 2: unknown directive 'N'"),
+    ("# nothing here\n", "missing header line 'n <N>'"),
+    ("", "missing header line 'n <N>'"),
+    # Blank lines, comments and CRLF still count toward line numbers.
+    ("# c\r\n\r\n  n 3\r\n  # e 0 0\r\n\te 1 1\r\n", "line 5: loop edge (1, 1)"),
+    # The first error in file order wins.
+    ("n 4\ne 0 1\ne 0 1\ne 2 3\ne 3 3\n", "line 3: duplicate edge (0, 1)"),
+    ("n 4\ne 3 3\ne 0 1\ne 0 1\n", "line 2: loop edge (3, 3)"),
+    ("n 2\ne 0 1\nq\ne 1 1\n", "line 3: unknown directive 'q'"),
+    ("n 2\ne 0 1\ne 0 9\nn 3\n", "line 3: vertex id outside [0, 2)"),
+    ("n 2\ne 0 1\nn 3\ne 1 1\n", "line 3: duplicate header line"),
+    ("n 2\ne 0 1\ne 1 0\ne x 1\ne 1 1\n", "line 4: expected integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("text, message", GRAPH_DIAGNOSTICS)
+def test_parse_graph_diagnostic(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 class TestDigraph:
     def test_construction_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
