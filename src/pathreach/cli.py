@@ -9,6 +9,7 @@ or input error.  File arguments accept '-' for stdin.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -244,6 +245,8 @@ def _quad(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+# Built once per process; parse_args leaves the parser as it was.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathreach",

@@ -11,8 +11,10 @@ imbalance lower bound, so the cover is minimal.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .decomposition import Walk, WalkDecomposition
 from .graph import Digraph, Edge, is_acyclic
@@ -23,9 +25,14 @@ class CyclicGraphError(ValueError):
     """The input graph contains a directed cycle."""
 
 
-# Scalar locals of a trace: current vertex, carried edge number, next target,
-# and the emitted length used as the cycle guard.
+# Scalar locals of a trace: previous and current vertex, carried edge
+# number, and the emitted length used as the cycle guard.
 _TRACE_SCRATCH_WORDS = 4
+
+# The per-vertex arrays a trace follows, indexed by vertex id: successors
+# in out-number order, predecessors in ascending id, and in_numbers[v][j],
+# the number of the edge from predecessors[v][j] into v.
+_PerVertex = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -40,9 +47,20 @@ class EdgeIndexing:
     out_index: dict[Edge, int]
 
     @cached_property
-    def _target_by_rank(self) -> dict[tuple[int, int], int]:
-        # (u, out number) -> v, for following the numbering during a trace
-        return {(u, r): v for (u, v), r in self.out_index.items()}
+    def _arrays(self) -> tuple[_PerVertex, _PerVertex, _PerVertex]:
+        # (successors, predecessors, in_numbers) for following this numbering
+        n = 1 + max((max(e) for e in self.in_index), default=-1)
+        outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (u, v), r in self.out_index.items():
+            outs[u].append((r, v))
+        for (u, v), r in self.in_index.items():
+            ins[v].append((u, r))
+        successors = [tuple(v for _, v in sorted(pairs)) for pairs in outs]
+        incoming = [sorted(pairs) for pairs in ins]
+        predecessors = [tuple(u for u, _ in pairs) for pairs in incoming]
+        in_numbers = [tuple(r for _, r in pairs) for pairs in incoming]
+        return successors, predecessors, in_numbers
 
 
 def assign_edge_indices(g: Digraph) -> EdgeIndexing:
@@ -58,6 +76,24 @@ def assign_edge_indices(g: Digraph) -> EdgeIndexing:
     return EdgeIndexing(in_index=in_index, out_index=out_index)
 
 
+def _follow(successors: _PerVertex, predecessors: _PerVertex, in_numbers: _PerVertex,
+            start: Edge, limit: int) -> list[int]:
+    """Vertices of the trace that begins with the edge start: entering v
+    through the edge numbered i, it leaves along v's outgoing edge numbered
+    i until there is none.  More than limit vertices certify a cycle."""
+    u, v = start
+    verts = [u]
+    while True:
+        carried = in_numbers[v][bisect_left(predecessors[v], u)]
+        verts.append(v)
+        if len(verts) > limit:
+            raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
+        nexts = successors[v]
+        if carried > len(nexts):
+            return verts
+        u, v = v, nexts[carried - 1]
+
+
 def trace_path(
     g: Digraph, idx: EdgeIndexing, start: Edge, meter: RegisterMeter | None = None
 ) -> Walk:
@@ -69,29 +105,18 @@ def trace_path(
     """
     if start not in g.edges:
         raise ValueError(f"start edge {start} is not in the graph")
-    u, v = start
+    u = start[0]
     if idx.out_index[start] <= len(g.predecessors(u)):
         raise ValueError(
             f"edge {start} is not a legal path start: its out number "
             f"{idx.out_index[start]} does not exceed indeg({u})={len(g.predecessors(u))}")
     if meter is not None:
         meter.acquire(_TRACE_SCRATCH_WORDS)
-    verts = [u, v]
-    cur = v
-    carried = idx.in_index[start]
-    while True:
-        nxt = idx._target_by_rank.get((cur, carried))
-        if nxt is None:
-            break
-        carried = idx.in_index[(cur, nxt)]
-        cur = nxt
-        verts.append(cur)
-        if len(verts) > g.n:
-            if meter is not None:
-                meter.release(_TRACE_SCRATCH_WORDS)
-            raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
-    if meter is not None:
-        meter.release(_TRACE_SCRATCH_WORDS)
+    try:
+        verts = _follow(*idx._arrays, start, g.n)
+    finally:
+        if meter is not None:
+            meter.release(_TRACE_SCRATCH_WORDS)
     if len(set(verts)) != len(verts):
         raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
     return Walk(verts)
@@ -108,11 +133,19 @@ def minimal_path_decomposition(
     """
     if not is_acyclic(g):
         raise CyclicGraphError("graph is not acyclic")
-    idx = assign_edge_indices(g)
+    # The numbering of assign_edge_indices: the sorted adjacency tuples are
+    # already in number order, and the edge from predecessors[v][j] has
+    # number j + 1 for every v.
+    successors = [g.successors(v) for v in range(g.n)]
+    predecessors = [g.predecessors(v) for v in range(g.n)]
+    in_numbers = [range(1, g.n)] * g.n
     walks: list[Walk] = []
-    for v in range(g.n):
-        indeg = len(g.predecessors(v))
-        succs = g.successors(v)
-        for rank in range(indeg, len(succs)):
-            walks.append(trace_path(g, idx, (v, succs[rank]), meter=meter))
+    for v, succs in enumerate(successors):
+        for rank in range(len(predecessors[v]), len(succs)):
+            if meter is not None:
+                meter.acquire(_TRACE_SCRATCH_WORDS)
+            walks.append(Walk(_follow(
+                successors, predecessors, in_numbers, (v, succs[rank]), g.n)))
+            if meter is not None:
+                meter.release(_TRACE_SCRATCH_WORDS)
     return WalkDecomposition(walks)

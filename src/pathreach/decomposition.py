@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Digraph, Edge
@@ -28,15 +29,15 @@ class Walk:
     __slots__ = ("_vertices",)
 
     def __init__(self, vertices: Iterable[int]) -> None:
-        vs = tuple(int(v) for v in vertices)
+        vs = tuple(map(int, vertices))
         if not vs:
             raise ValueError("a walk needs at least one vertex")
-        for v in vs:
-            if v < 0:
-                raise ValueError(f"negative vertex id {v}")
-        for a, b in zip(vs, vs[1:]):
-            if a == b:
-                raise ValueError(f"loop step ({a}, {b}) is not allowed")
+        if min(vs) < 0:
+            v = next(v for v in vs if v < 0)
+            raise ValueError(f"negative vertex id {v}")
+        if any(map(eq, vs, vs[1:])):
+            v = next(a for a, b in zip(vs, vs[1:]) if a == b)
+            raise ValueError(f"loop step ({v}, {v}) is not allowed")
         self._vertices = vs
 
     @property
@@ -183,14 +184,17 @@ def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationR
         if not walk.is_simple:
             violations.append(Violation(
                 ViolationKind.NOT_SIMPLE, f"walk {i} repeats a vertex: {list(walk)}"))
-    usage = Counter(step for walk in p for step in walk.steps())
-    for e in sorted(set(usage) - g.edges):
+    steps = [step for walk in p for step in walk.steps()]
+    used = set(steps)
+    for e in sorted(used - g.edges):
         violations.append(Violation(
             ViolationKind.EDGE_NOT_IN_GRAPH, f"step {e} is not an edge of the graph"))
-    for e in sorted(e for e, c in usage.items() if c > 1 and e in g.edges):
-        violations.append(Violation(
-            ViolationKind.EDGE_REPEATED, f"edge {e} is used {usage[e]} times"))
-    for e in sorted(g.edges - set(usage)):
+    if len(used) < len(steps):
+        usage = Counter(steps)
+        for e in sorted(e for e, c in usage.items() if c > 1 and e in g.edges):
+            violations.append(Violation(
+                ViolationKind.EDGE_REPEATED, f"edge {e} is used {usage[e]} times"))
+    for e in sorted(g.edges - used):
         violations.append(Violation(
             ViolationKind.EDGE_UNCOVERED, f"edge {e} lies on no path"))
     return ValidationReport.from_violations(violations)
@@ -231,11 +235,11 @@ def parse_decomposition(text: str) -> WalkDecomposition:
     """
     walks: list[Walk] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
         try:
-            ids = [int(tok) for tok in line.split()]
+            ids = tuple(map(int, tokens))
         except ValueError:
             raise DecompositionFormatError(
                 f"line {lineno}: walk lines must contain integers") from None
@@ -250,4 +254,4 @@ def format_decomposition(w: WalkDecomposition) -> str:
     """Serialize w in the decomposition file format (empty string for k=0)."""
     if not w.walks:
         return ""
-    return "\n".join(" ".join(str(v) for v in walk) for walk in w) + "\n"
+    return "\n".join(" ".join(map(str, walk.vertices)) for walk in w) + "\n"

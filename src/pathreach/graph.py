@@ -8,9 +8,16 @@ is deterministic.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
+
+
+# Largest header N that parse_graph accepts.  Adjacency is held per
+# vertex, so N alone sets a floor on memory whatever the edge lines say;
+# README "File formats" gives the sizes behind this choice.
+_MAX_VERTEX_COUNT = 1 << 22
 
 
 class GraphFormatError(ValueError):
@@ -31,19 +38,19 @@ class Digraph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         edge_set = frozenset((int(u), int(v)) for u, v in edges)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(edge_set):
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-            succ[u].append(v)
-            pred[v].append(u)
+        out: defaultdict[int, list[int]] = defaultdict(list)
+        inc: defaultdict[int, list[int]] = defaultdict(list)
+        for u, v in edge_set:
+            out[u].append(v)
+            inc[v].append(u)
+        ends = out.keys() | inc.keys()
+        has_loop = any(u in vs for u, vs in out.items())
+        if has_loop or ends and not (0 <= min(ends) and max(ends) < n):
+            _reject_first_bad_edge(n, edge_set)
         self._n = n
         self._edges = edge_set
-        self._succ = tuple(tuple(vs) for vs in succ)
-        self._pred = tuple(tuple(us) for us in pred)
+        self._succ = _sorted_adjacency(n, out)
+        self._pred = _sorted_adjacency(n, inc)
 
     @property
     def n(self) -> int:
@@ -86,6 +93,24 @@ class Digraph:
         return f"Digraph(n={self._n}, edges={len(self._edges)})"
 
 
+def _sorted_adjacency(n: int, lists: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Per vertex, its neighbor list sorted; vertices without one get ()."""
+    adj: list[tuple[int, ...]] = [()] * n
+    for v, vs in lists.items():
+        vs.sort()
+        adj[v] = tuple(vs)
+    return tuple(adj)
+
+
+def _reject_first_bad_edge(n: int, edges: frozenset[Edge]) -> None:
+    """Raise for the smallest loop or out-of-range edge."""
+    for u, v in sorted(edges):
+        if u == v:
+            raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+
+
 def degrees(g: Digraph, v: int) -> DegreePair:
     """Indegree and outdegree of vertex v."""
     g._check_vertex(v)
@@ -111,18 +136,30 @@ def parse_graph(text: str) -> Digraph:
     """Parse the graph file format.
 
     Lines starting with '#' and blank lines are ignored.  Exactly one
-    header line "n <N>" must precede any edge line "e <u> <v>".  Duplicate
-    edge lines, loops, and out-of-range endpoints are hard errors.
+    header line "n <N>" with 0 <= N <= 2**22 must precede any edge line
+    "e <u> <v>".  Duplicate edge lines, loops, and out-of-range endpoints
+    are hard errors; the first error in file order is reported.
     """
     n: int | None = None
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    edges: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                edge = (int(parts[1]), int(parts[2]))
+            except ValueError:  # _parse_int names the first token that is not one
+                edge = (_parse_int(parts[1], lineno), _parse_int(parts[2], lineno))
+            u, v = edge
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: loop edge ({u}, {v})")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError(f"line {lineno}: vertex id outside [0, {n})")
+            if edge in edges:
+                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
+            edges.add(edge)
+        elif not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "n":
+        elif parts[0] == "n":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate header line")
             if len(parts) != 2:
@@ -130,21 +167,13 @@ def parse_graph(text: str) -> Digraph:
             n = _parse_int(parts[1], lineno)
             if n < 0:
                 raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
+            if n > _MAX_VERTEX_COUNT:
+                raise GraphFormatError(
+                    f"line {lineno}: vertex count {n} exceeds the limit {_MAX_VERTEX_COUNT}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge line before header")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: edge line must be 'e <u> <v>'")
-            u = _parse_int(parts[1], lineno)
-            v = _parse_int(parts[2], lineno)
-            if u == v:
-                raise GraphFormatError(f"line {lineno}: loop edge ({u}, {v})")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"line {lineno}: vertex id outside [0, {n})")
-            if (u, v) in seen:
-                raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            edges.append((u, v))
+            raise GraphFormatError(f"line {lineno}: edge line must be 'e <u> <v>'")
         else:
             raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:

@@ -139,6 +139,35 @@ class TestHugeVertexIds:
         assert elapsed < 2.0
 
 
+class TestHugeGraphHeader:
+    # A header alone commits per-vertex memory, so N is capped: above the
+    # cap the CLI answers with one diagnostic line and exit 2, at once,
+    # and an edgeless graph at the cap still loads in 1 GB.
+    CAP = 1 << 22
+
+    @pytest.mark.parametrize("count", [CAP + 1, 2000000000])
+    def test_header_above_cap_rejected(self, tmp_path, count):
+        path = tmp_path / "huge.g"
+        path.write_text(f"# too many vertices\nn {count}\ne 0 1\n")
+        proc, elapsed = _run_capped(["pathnum-lb", "--graph", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: {path}: line 2: vertex count {count} exceeds the limit {self.CAP}\n")
+        assert elapsed < 2.0
+
+    def test_edgeless_graph_at_cap_loads(self, tmp_path):
+        graph = tmp_path / "cap.g"
+        graph.write_text(f"n {self.CAP}\n")
+        empty = tmp_path / "empty.walks"
+        empty.write_text("")
+        proc, elapsed = _run_capped(
+            ["validate", "--graph", str(graph), "--decomp", str(empty), "--paths"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+        assert elapsed < 2.0
+
+
 class TestValidate:
     def test_walks_ok(self, tmp_path, overlap_decomp, capsys):
         g = tmp_path / "u.g"

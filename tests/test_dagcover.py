@@ -11,10 +11,12 @@ from pathreach.dagcover import (
 )
 from pathreach.decomposition import (
     Walk,
+    format_decomposition,
+    parse_decomposition,
     path_number_lower_bound,
     validate_path_decomposition,
 )
-from pathreach.graph import Digraph, degrees
+from pathreach.graph import Digraph, degrees, format_graph, parse_graph
 from pathreach.reach import RegisterMeter
 from pathreach.testkit import gen_random_dag
 
@@ -85,6 +87,14 @@ class TestTrace:
         with pytest.raises(CyclicGraphError):
             trace_path(g, assign_edge_indices(g), (0, 1))
 
+    def test_revisit_within_length_guard(self):
+        # The trace from (0, 1) is [0, 1, 2, 1, 3]: five vertices on five
+        # vertex ids, so the length guard stays quiet and only the revisit
+        # check can reject it.
+        g = Digraph(5, [(0, 1), (1, 2), (2, 1), (1, 3)])
+        with pytest.raises(CyclicGraphError, match="revisits a vertex"):
+            trace_path(g, assign_edge_indices(g), (0, 1))
+
     def test_meter_constant_workspace(self):
         meter = RegisterMeter()
         for n in (10, 100, 400):
@@ -126,6 +136,26 @@ class TestMinimalDecomposition:
         assert validate_path_decomposition(g, cover).ok
         assert cover.k == path_number_lower_bound(g)
         assert all(w.is_simple for w in cover)
+
+    @given(random_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_traces_of_assigned_indexing(self, g):
+        # Reference: trace_path over assign_edge_indices from every legal
+        # start, in (vertex, out number) order.
+        idx = assign_edge_indices(g)
+        reference = []
+        for v in range(g.n):
+            for x in sorted(g.successors(v), key=lambda x: idx.out_index[(v, x)]):
+                if idx.out_index[(v, x)] > degrees(g, v).indeg:
+                    reference.append(trace_path(g, idx, (v, x)))
+        assert list(minimal_path_decomposition(g)) == reference
+
+    @given(random_dags())
+    @settings(max_examples=60, deadline=None)
+    def test_file_round_trips(self, g):
+        assert parse_graph(format_graph(g)) == g
+        cover = minimal_path_decomposition(g)
+        assert parse_decomposition(format_decomposition(cover)) == cover
 
     @given(random_dags(), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)

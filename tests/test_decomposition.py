@@ -218,6 +218,20 @@ def test_walk_diagnostic(vertices, message):
     assert str(info.value) == message
 
 
+def walk_families():
+    # Vertex lists with consecutive repeats collapsed, so no loop steps.
+    def walk(vs):
+        return [v for i, v in enumerate(vs) if i == 0 or vs[i - 1] != v]
+    vertex_lists = st.lists(st.integers(min_value=0, max_value=2**40), min_size=1)
+    return st.lists(vertex_lists.map(walk)).map(WalkDecomposition)
+
+
+@given(walk_families())
+@settings(max_examples=100, deadline=None)
+def test_format_parse_roundtrip(w):
+    assert parse_decomposition(format_decomposition(w)) == w
+
+
 @st.composite
 def path_decompositions(draw):
     # Build a valid path decomposition directly: simple vertex-disjoint-in-use

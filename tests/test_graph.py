@@ -123,6 +123,16 @@ def test_parse_graph_diagnostic(text, message):
     assert str(info.value) == message
 
 
+def test_vertex_count_cap():
+    # README "File formats" documents the cap of 2**22 vertices.
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("n 4194305\n")
+    assert str(info.value) == "line 1: vertex count 4194305 exceeds the limit 4194304"
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("n 2\ne 0 1\nn 2000000000\n")
+    assert str(info.value) == "line 3: duplicate header line"
+
+
 class TestDigraph:
     def test_construction_rejects_loop(self):
         with pytest.raises(ValueError, match="loop"):
