@@ -77,21 +77,27 @@ def assign_edge_indices(g: Digraph) -> EdgeIndexing:
 
 
 def _follow(successors: _PerVertex, predecessors: _PerVertex, in_numbers: _PerVertex,
-            start: Edge, limit: int) -> list[int]:
+            start: Edge, limit: int, meter: RegisterMeter | None) -> list[int]:
     """Vertices of the trace that begins with the edge start: entering v
     through the edge numbered i, it leaves along v's outgoing edge numbered
     i until there is none.  More than limit vertices certify a cycle."""
-    u, v = start
-    verts = [u]
-    while True:
-        carried = in_numbers[v][bisect_left(predecessors[v], u)]
-        verts.append(v)
-        if len(verts) > limit:
-            raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
-        nexts = successors[v]
-        if carried > len(nexts):
-            return verts
-        u, v = v, nexts[carried - 1]
+    if meter is not None:
+        meter.acquire(_TRACE_SCRATCH_WORDS)
+    try:
+        u, v = start
+        verts = [u]
+        while True:
+            carried = in_numbers[v][bisect_left(predecessors[v], u)]
+            verts.append(v)
+            if len(verts) > limit:
+                raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
+            nexts = successors[v]
+            if carried > len(nexts):
+                return verts
+            u, v = v, nexts[carried - 1]
+    finally:
+        if meter is not None:
+            meter.release(_TRACE_SCRATCH_WORDS)
 
 
 def trace_path(
@@ -110,13 +116,7 @@ def trace_path(
         raise ValueError(
             f"edge {start} is not a legal path start: its out number "
             f"{idx.out_index[start]} does not exceed indeg({u})={len(g.predecessors(u))}")
-    if meter is not None:
-        meter.acquire(_TRACE_SCRATCH_WORDS)
-    try:
-        verts = _follow(*idx._arrays, start, g.n)
-    finally:
-        if meter is not None:
-            meter.release(_TRACE_SCRATCH_WORDS)
+    verts = _follow(*idx._arrays, start, g.n, meter)
     if len(set(verts)) != len(verts):
         raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
     return Walk(verts)
@@ -142,10 +142,6 @@ def minimal_path_decomposition(
     walks: list[Walk] = []
     for v, succs in enumerate(successors):
         for rank in range(len(predecessors[v]), len(succs)):
-            if meter is not None:
-                meter.acquire(_TRACE_SCRATCH_WORDS)
             walks.append(Walk(_follow(
-                successors, predecessors, in_numbers, (v, succs[rank]), g.n)))
-            if meter is not None:
-                meter.release(_TRACE_SCRATCH_WORDS)
+                successors, predecessors, in_numbers, (v, succs[rank]), g.n, meter)))
     return WalkDecomposition(walks)

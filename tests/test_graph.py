@@ -76,7 +76,8 @@ class TestParse:
         assert parse_graph(format_graph(g)) == g
 
 
-# Every parse_graph diagnostic, exact: (file text, message).
+# Every parse_graph diagnostic but the vertex-count cap (tested below),
+# exact: (file text, message).
 GRAPH_DIAGNOSTICS = [
     ("n 2\nn 3\n", "line 2: duplicate header line"),
     ("n 2\nn 3 4\n", "line 2: duplicate header line"),
