@@ -107,30 +107,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reach(args) -> int:
+    """reach and min-switches: one query, formatted by command."""
     w, n = _checked_universe(args)
     try:
         res = decide_reachability(w, args.src, args.dst, n=n)
     except ValueError as exc:
         raise _InputError(str(exc)) from None
-    if res.reachable:
+    if args.command == "min-switches":
+        print(res.min_switches if res.reachable else "UNREACHABLE")
+    elif res.reachable:
         print(f"REACHABLE switches={res.min_switches} "
               f"iterations={res.iterations} peak_words={res.peak_words}")
-        return ExitStatus.OK
-    print(f"UNREACHABLE iterations={res.iterations} peak_words={res.peak_words}")
-    return ExitStatus.NEGATIVE
-
-
-def _cmd_min_switches(args) -> int:
-    w, n = _checked_universe(args)
-    try:
-        res = decide_reachability(w, args.src, args.dst, n=n)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    if res.reachable:
-        print(res.min_switches)
-        return ExitStatus.OK
-    print("UNREACHABLE")
-    return ExitStatus.NEGATIVE
+    else:
+        print(f"UNREACHABLE iterations={res.iterations} peak_words={res.peak_words}")
+    return ExitStatus.OK if res.reachable else ExitStatus.NEGATIVE
 
 
 def _cmd_decompose(args) -> int:
@@ -263,13 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="require only that the union of steps equals the edge set")
     p.set_defaults(func=_cmd_validate)
 
-    for name, func in (("reach", _cmd_reach), ("min-switches", _cmd_min_switches)):
+    for name in ("reach", "min-switches"):
         p = sub.add_parser(name, help="decide reachability over a decomposition")
         p.add_argument("--decomp", required=True)
         p.add_argument("--graph", help="optional graph to validate coverage against")
         p.add_argument("--from", dest="src", type=int, required=True)
         p.add_argument("--to", dest="dst", type=int, required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_reach)
 
     p = sub.add_parser("decompose", help="minimal path decomposition of a DAG")
     p.add_argument("--graph", required=True)

@@ -11,10 +11,9 @@ imbalance lower bound, so the cover is minimal.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable
 
 from .decomposition import Walk, WalkDecomposition
 from .graph import Digraph, Edge, is_acyclic
@@ -25,14 +24,15 @@ class CyclicGraphError(ValueError):
     """The input graph contains a directed cycle."""
 
 
-# Scalar locals of a trace: previous and current vertex, carried edge
-# number, and the emitted length used as the cycle guard.
+# Scalar locals of a trace: previous, current and next vertex, and the
+# emitted length used as the cycle guard.
 _TRACE_SCRATCH_WORDS = 4
 
-# The per-vertex arrays a trace follows, indexed by vertex id: successors
-# in out-number order, predecessors in ascending id, and in_numbers[v][j],
-# the number of the edge from predecessors[v][j] into v.
-_PerVertex = Sequence[Sequence[int]]
+# What a trace follows: for every vertex v with an incoming edge,
+# continuations[v][u] is the vertex after v when v was entered from u, the
+# head of v's outgoing edge whose out number equals the in number of (u, v).
+# u is absent when v has no such edge, and the trace ends at v.
+_Continuations = dict[int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,14 @@ class EdgeIndexing:
     out_index: dict[Edge, int]
 
     @cached_property
-    def _arrays(self) -> tuple[_PerVertex, _PerVertex, _PerVertex]:
-        # (successors, predecessors, in_numbers) for following this numbering
-        n = 1 + max((max(e) for e in self.in_index), default=-1)
-        outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), r in self.out_index.items():
-            outs[u].append((r, v))
+    def _continuations(self) -> _Continuations:
+        head = {(u, r): v for (u, v), r in self.out_index.items()}
+        continuations: _Continuations = {}
         for (u, v), r in self.in_index.items():
-            ins[v].append((u, r))
-        successors = [tuple(v for _, v in sorted(pairs)) for pairs in outs]
-        incoming = [sorted(pairs) for pairs in ins]
-        predecessors = [tuple(u for u, _ in pairs) for pairs in incoming]
-        in_numbers = [tuple(r for _, r in pairs) for pairs in incoming]
-        return successors, predecessors, in_numbers
+            after = continuations.setdefault(v, {})
+            if (v, r) in head:
+                after[u] = head[(v, r)]
+        return continuations
 
 
 def assign_edge_indices(g: Digraph) -> EdgeIndexing:
@@ -68,33 +62,35 @@ def assign_edge_indices(g: Digraph) -> EdgeIndexing:
     outgoing edges of u by ascending target id."""
     in_index: dict[Edge, int] = {}
     out_index: dict[Edge, int] = {}
-    for v in range(g.n):
-        for r, u in enumerate(g.predecessors(v), start=1):
+    successors, predecessors = g._adjacency()
+    for v in sorted(successors):
+        for r, u in enumerate(predecessors[v], start=1):
             in_index[(u, v)] = r
-        for r, x in enumerate(g.successors(v), start=1):
+        for r, x in enumerate(successors[v], start=1):
             out_index[(v, x)] = r
     return EdgeIndexing(in_index=in_index, out_index=out_index)
 
 
-def _follow(successors: _PerVertex, predecessors: _PerVertex, in_numbers: _PerVertex,
-            start: Edge, limit: int, meter: RegisterMeter | None) -> list[int]:
-    """Vertices of the trace that begins with the edge start: entering v
+def _follow(continuations: _Continuations, starts: Iterable[Edge], limit: int,
+            meter: RegisterMeter | None) -> list[tuple[int, ...]]:
+    """Vertices of the trace that begins with each start edge: entering v
     through the edge numbered i, it leaves along v's outgoing edge numbered
     i until there is none.  More than limit vertices certify a cycle."""
     if meter is not None:
         meter.acquire(_TRACE_SCRATCH_WORDS)
     try:
-        u, v = start
-        verts = [u]
-        while True:
-            carried = in_numbers[v][bisect_left(predecessors[v], u)]
-            verts.append(v)
-            if len(verts) > limit:
-                raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
-            nexts = successors[v]
-            if carried > len(nexts):
-                return verts
-            u, v = v, nexts[carried - 1]
+        traces = []
+        for u, v in starts:
+            verts = [u, v]
+            w = continuations[v].get(u)
+            while w is not None:
+                verts.append(w)
+                if len(verts) > limit:
+                    raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
+                u, v = v, w
+                w = continuations[v].get(u)
+            traces.append(tuple(verts))
+        return traces
     finally:
         if meter is not None:
             meter.release(_TRACE_SCRATCH_WORDS)
@@ -116,7 +112,7 @@ def trace_path(
         raise ValueError(
             f"edge {start} is not a legal path start: its out number "
             f"{idx.out_index[start]} does not exceed indeg({u})={len(g.predecessors(u))}")
-    verts = _follow(*idx._arrays, start, g.n, meter)
+    [verts] = _follow(idx._continuations, [start], g.n, meter)
     if len(set(verts)) != len(verts):
         raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
     return Walk(verts)
@@ -133,15 +129,13 @@ def minimal_path_decomposition(
     """
     if not is_acyclic(g):
         raise CyclicGraphError("graph is not acyclic")
-    # The numbering of assign_edge_indices: the sorted adjacency tuples are
-    # already in number order, and the edge from predecessors[v][j] has
-    # number j + 1 for every v.
-    successors = [g.successors(v) for v in range(g.n)]
-    predecessors = [g.predecessors(v) for v in range(g.n)]
-    in_numbers = [range(1, g.n)] * g.n
-    walks: list[Walk] = []
-    for v, succs in enumerate(successors):
-        for rank in range(len(predecessors[v]), len(succs)):
-            walks.append(Walk(_follow(
-                successors, predecessors, in_numbers, (v, succs[rank]), g.n, meter)))
-    return WalkDecomposition(walks)
+    # The numbering of assign_edge_indices: the j-th predecessor of v in
+    # ascending order has in number j + 1 and the j-th successor out number
+    # j + 1, so a trace entering v from its j-th predecessor leaves to its
+    # j-th successor, and the starts are the successors past indeg(v).
+    successors, predecessors = g._adjacency()
+    continuations = {v: dict(zip(us, successors[v])) for v, us in predecessors.items()}
+    starts = ((v, x) for v in sorted(successors) for x in successors[v][len(predecessors[v]):])
+    # A trace on an acyclic graph is a simple path of int ids, so it passes
+    # every check of Walk.__init__.
+    return WalkDecomposition._checked(_follow(continuations, starts, g.n, meter))

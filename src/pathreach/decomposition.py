@@ -9,6 +9,8 @@ and every edge to be used exactly once.
 
 from __future__ import annotations
 
+import json
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -30,15 +32,15 @@ class Walk:
 
     def __init__(self, vertices: Iterable[int]) -> None:
         vs = tuple(map(int, vertices))
-        if not vs:
-            raise ValueError("a walk needs at least one vertex")
-        if min(vs) < 0:
-            v = next(v for v in vs if v < 0)
-            raise ValueError(f"negative vertex id {v}")
-        if any(map(eq, vs, vs[1:])):
-            v = next(a for a, b in zip(vs, vs[1:]) if a == b)
-            raise ValueError(f"loop step ({v}, {v}) is not allowed")
+        _check_walk(vs)
         self._vertices = vs
+
+    @classmethod
+    def _checked(cls, vertices: tuple[int, ...]) -> "Walk":
+        """Walk on an int tuple already known to pass _check_walk."""
+        walk = cls.__new__(cls)
+        walk._vertices = vertices
+        return walk
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -73,30 +75,56 @@ class Walk:
         return f"Walk({list(self._vertices)})"
 
 
+def _check_walk(vs: tuple[int, ...]) -> None:
+    """Raise ValueError naming the first defect of a walk's int vertex tuple:
+    emptiness, then a negative id, then a loop step."""
+    if not vs:
+        raise ValueError("a walk needs at least one vertex")
+    if min(vs) < 0:
+        v = next(v for v in vs if v < 0)
+        raise ValueError(f"negative vertex id {v}")
+    if any(map(eq, vs, vs[1:])):
+        v = next(a for a, b in zip(vs, vs[1:]) if a == b)
+        raise ValueError(f"loop step ({v}, {v}) is not allowed")
+
+
 class WalkDecomposition:
     """An ordered family of walks.
 
-    The derived occurrence index (per vertex, its first and last position
-    in each walk that contains it) is built lazily and cached; it is
-    query-independent input representation, shared by all reachability
-    queries on the instance.
+    The family is held as the walks' vertex tuples; the Walk objects of
+    the public view are built on first use.  The derived occurrence index
+    (per vertex, its first and last position in each walk that contains
+    it) is built lazily and cached; it is query-independent input
+    representation, shared by all reachability queries on the instance.
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
-        self._walks = tuple(w if isinstance(w, Walk) else Walk(w) for w in walks)
+        self._walks: tuple[Walk, ...] | None = tuple(
+            w if isinstance(w, Walk) else Walk(w) for w in walks)
+        self._paths = tuple(w.vertices for w in self._walks)
+
+    @classmethod
+    def _checked(cls, paths: Iterable[tuple[int, ...]]) -> "WalkDecomposition":
+        """Family of int vertex tuples already known to pass _check_walk."""
+        w = cls.__new__(cls)
+        w._walks = None
+        w._paths = tuple(paths)
+        return w
 
     @property
     def walks(self) -> tuple[Walk, ...]:
+        if self._walks is None:
+            self._walks = tuple(map(Walk._checked, self._paths))
         return self._walks
 
     @property
     def k(self) -> int:
-        return len(self._walks)
+        return len(self._paths)
 
     @cached_property
     def max_vertex(self) -> int:
         """Largest vertex id used by any walk, or -1 for an empty family."""
-        return max((max(w.vertices) for w in self._walks), default=-1)
+        return max(map(max, self._paths), default=-1)
 
     @property
     def implied_vertex_count(self) -> int:
@@ -112,31 +140,31 @@ class WalkDecomposition:
         largest vertex id.
         """
         index: dict[int, list[tuple[int, int, int]]] = {}
-        for i, walk in enumerate(self._walks):
-            last = {v: pos for pos, v in enumerate(walk.vertices)}
+        for i, vs in enumerate(self._paths):
+            last = {v: pos for pos, v in enumerate(vs)}
             first: dict[int, int] = {}
-            for pos, v in enumerate(walk.vertices):
+            for pos, v in enumerate(vs):
                 first.setdefault(v, pos)
             for v, pos in first.items():
                 index.setdefault(v, []).append((i, pos, last[v]))
         return {v: tuple(entries) for v, entries in index.items()}
 
     def __len__(self) -> int:
-        return len(self._walks)
+        return len(self._paths)
 
     def __iter__(self) -> Iterator[Walk]:
-        return iter(self._walks)
+        return iter(self.walks)
 
     def __getitem__(self, i: int) -> Walk:
-        return self._walks[i]
+        return self.walks[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WalkDecomposition):
             return NotImplemented
-        return self._walks == other._walks
+        return self._paths == other._paths
 
     def __hash__(self) -> int:
-        return hash(self._walks)
+        return hash(self._paths)
 
     def __repr__(self) -> str:
         return f"WalkDecomposition(k={self.k})"
@@ -169,7 +197,7 @@ def union_graph(w: WalkDecomposition, n: int) -> Digraph:
     """Digraph on n vertices whose edges are the deduplicated steps of w."""
     if w.max_vertex >= n:
         raise ValueError(f"walk vertex {w.max_vertex} outside [0, {n})")
-    edges = {step for walk in w for step in walk.steps()}
+    edges = {step for vs in w._paths for step in zip(vs, vs[1:])}
     return Digraph(n, edges)
 
 
@@ -180,11 +208,11 @@ def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationR
     walks carry no edges and are ignored.
     """
     violations: list[Violation] = []
-    for i, walk in enumerate(p):
-        if not walk.is_simple:
+    for i, vs in enumerate(p._paths):
+        if len(set(vs)) < len(vs):
             violations.append(Violation(
-                ViolationKind.NOT_SIMPLE, f"walk {i} repeats a vertex: {list(walk)}"))
-    steps = [step for walk in p for step in walk.steps()]
+                ViolationKind.NOT_SIMPLE, f"walk {i} repeats a vertex: {list(vs)}"))
+    steps = [step for vs in p._paths for step in zip(vs, vs[1:])]
     used = set(steps)
     for e in sorted(used - g.edges):
         violations.append(Violation(
@@ -206,7 +234,7 @@ def validate_walk_decomposition(g: Digraph, w: WalkDecomposition) -> ValidationR
     Walks may repeat vertices and share edges; only coverage matters.
     """
     violations: list[Violation] = []
-    used = {step for walk in w for step in walk.steps()}
+    used = {step for vs in w._paths for step in zip(vs, vs[1:])}
     for e in sorted(used - g.edges):
         violations.append(Violation(
             ViolationKind.EDGE_NOT_IN_GRAPH, f"step {e} is not an edge of the graph"))
@@ -221,10 +249,14 @@ def path_number_lower_bound(g: Digraph) -> int:
 
     No path decomposition of g can use fewer paths than this.
     """
-    total = 0
-    for v in range(g.n):
-        total += max(0, len(g.successors(v)) - len(g.predecessors(v)))
-    return total
+    # A vertex without an edge adds 0, so only the ones with an edge are visited.
+    succ, pred = g._adjacency()
+    return sum(max(0, len(succs) - len(pred[v])) for v, succs in succ.items())
+
+
+# The form format_decomposition writes: one line per walk, ASCII digits and
+# single spaces only, each line ending in a newline.
+_CANONICAL = re.compile(r"(?:[0-9]+(?: [0-9]+)*\n)*")
 
 
 def parse_decomposition(text: str) -> WalkDecomposition:
@@ -233,9 +265,36 @@ def parse_decomposition(text: str) -> WalkDecomposition:
     Each line lists whitespace-separated vertex ids in traversal order;
     '#' lines are comments.  Line order defines walk indices.
     """
-    walks: list[Walk] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
+    if _CANONICAL.fullmatch(text):
+        w = _parse_canonical(text)
+        if w is not None:
+            return w
+    return _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> WalkDecomposition | None:
+    """The family of a canonical text checked as a whole, or None when a
+    check fails; _parse_lines then finds and reports the first error."""
+    # One C-level scan converts every id: the walk lines read as the JSON
+    # list of lists [[v, ...], ...].  A number that JSON or int() rejects
+    # (a leading zero, too many digits) sends the text to the line loop.
+    body = text[:-1].replace(" ", ",").replace("\n", "],[")
+    try:
+        rows = json.loads(f"[[{body}]]") if text else []
+    except ValueError:
+        return None
+    paths = list(map(tuple, rows))
+    # Canonical ids carry no sign, so a loop step is the only defect left.
+    if any(any(map(eq, vs, vs[1:])) for vs in paths):
+        return None
+    return WalkDecomposition._checked(paths)
+
+
+def _parse_lines(text: str) -> WalkDecomposition:
+    """parse_decomposition line by line, for any text; the source of every
+    diagnostic."""
+    paths: list[tuple[int, ...]] = []
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
         if not tokens or tokens[0].startswith("#"):
             continue
         try:
@@ -244,14 +303,15 @@ def parse_decomposition(text: str) -> WalkDecomposition:
             raise DecompositionFormatError(
                 f"line {lineno}: walk lines must contain integers") from None
         try:
-            walks.append(Walk(ids))
+            _check_walk(ids)
         except ValueError as exc:
             raise DecompositionFormatError(f"line {lineno}: {exc}") from None
-    return WalkDecomposition(walks)
+        paths.append(ids)
+    return WalkDecomposition._checked(paths)
 
 
 def format_decomposition(w: WalkDecomposition) -> str:
     """Serialize w in the decomposition file format (empty string for k=0)."""
-    if not w.walks:
+    if not w._paths:
         return ""
-    return "\n".join(" ".join(map(str, walk.vertices)) for walk in w) + "\n"
+    return "\n".join(" ".join(map(str, vs)) for vs in w._paths) + "\n"

@@ -8,15 +8,21 @@ is deterministic.
 
 from __future__ import annotations
 
+import json
+import re
 from collections import defaultdict
+from operator import eq
 from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
 
+# Per vertex with an edge, its sorted neighbors on one side.
+_Adjacency = dict[int, tuple[int, ...]]
 
-# Largest header N that parse_graph accepts.  Adjacency is held per
-# vertex, so N alone sets a floor on memory whatever the edge lines say;
-# README "File formats" gives the sizes behind this choice.
+
+# Largest header N that parse_graph accepts, the limit README "File
+# formats" documents.  Adjacency is held only for vertices with an edge, so
+# the header alone commits no memory; the limit bounds the id range.
 _MAX_VERTEX_COUNT = 1 << 22
 
 
@@ -32,25 +38,35 @@ class DegreePair(NamedTuple):
 class Digraph:
     """Simple directed graph on vertices 0..n-1, immutable after construction."""
 
-    __slots__ = ("_n", "_edges", "_succ", "_pred")
+    __slots__ = ("_n", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         edge_set = frozenset((int(u), int(v)) for u, v in edges)
-        out: defaultdict[int, list[int]] = defaultdict(list)
-        inc: defaultdict[int, list[int]] = defaultdict(list)
-        for u, v in edge_set:
-            out[u].append(v)
-            inc[v].append(u)
-        ends = out.keys() | inc.keys()
-        has_loop = any(u in vs for u, vs in out.items())
-        if has_loop or ends and not (0 <= min(ends) and max(ends) < n):
-            _reject_first_bad_edge(n, edge_set)
+        if edge_set:
+            us, vs = zip(*edge_set)
+            if any(map(eq, us, vs)) or min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
+                _reject_first_bad_edge(n, edge_set)
         self._n = n
         self._edges = edge_set
-        self._succ = _sorted_adjacency(n, out)
-        self._pred = _sorted_adjacency(n, inc)
+        self._adj: tuple[_Adjacency, _Adjacency] | None = None
+
+    @classmethod
+    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Digraph":
+        """Digraph on int edges already known to be loop-free and inside [0, n)."""
+        g = cls.__new__(cls)
+        g._n = n
+        g._edges = edges
+        g._adj = None
+        return g
+
+    def _adjacency(self) -> tuple[_Adjacency, _Adjacency]:
+        """(successors, predecessors) as _build_adjacency gives them, built
+        on first use: checking a cover against the graph needs only edges."""
+        if self._adj is None:
+            self._adj = _build_adjacency(self._edges)
+        return self._adj
 
     @property
     def n(self) -> int:
@@ -71,12 +87,12 @@ class Digraph:
     def successors(self, v: int) -> tuple[int, ...]:
         """Out-neighbors of v in ascending order."""
         self._check_vertex(v)
-        return self._succ[v]
+        return self._adjacency()[0].get(v, ())
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         """In-neighbors of v in ascending order."""
         self._check_vertex(v)
-        return self._pred[v]
+        return self._adjacency()[1].get(v, ())
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edges
@@ -93,13 +109,24 @@ class Digraph:
         return f"Digraph(n={self._n}, edges={len(self._edges)})"
 
 
-def _sorted_adjacency(n: int, lists: dict[int, list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Per vertex, its neighbor list sorted; vertices without one get ()."""
-    adj: list[tuple[int, ...]] = [()] * n
-    for v, vs in lists.items():
-        vs.sort()
-        adj[v] = tuple(vs)
-    return tuple(adj)
+def _build_adjacency(edges: Iterable[Edge]) -> tuple[_Adjacency, _Adjacency]:
+    """Sorted successors and predecessors of every vertex with an edge.
+
+    Both dicts have exactly those vertices as keys (with () for a missing
+    side), so memory follows the edges, not the vertex count, and a walk
+    along edges can index either dict at every vertex it reaches.
+    """
+    out: defaultdict[int, list[int]] = defaultdict(list)
+    inc: defaultdict[int, list[int]] = defaultdict(list)
+    for u, v in edges:
+        out[u].append(v)
+        inc[v].append(u)
+    succ: _Adjacency = {}
+    pred: _Adjacency = {}
+    for v in out.keys() | inc.keys():
+        succ[v] = tuple(sorted(out.get(v, ())))
+        pred[v] = tuple(sorted(inc.get(v, ())))
+    return succ, pred
 
 
 def _reject_first_bad_edge(n: int, edges: frozenset[Edge]) -> None:
@@ -113,23 +140,31 @@ def _reject_first_bad_edge(n: int, edges: frozenset[Edge]) -> None:
 
 def degrees(g: Digraph, v: int) -> DegreePair:
     """Indegree and outdegree of vertex v."""
-    g._check_vertex(v)
-    return DegreePair(len(g._pred[v]), len(g._succ[v]))
+    return DegreePair(len(g.predecessors(v)), len(g.successors(v)))
 
 
 def is_acyclic(g: Digraph) -> bool:
-    """True iff g contains no directed cycle (iterative Kahn peeling)."""
-    indeg = [len(g._pred[v]) for v in range(g.n)]
-    stack = [v for v in range(g.n) if indeg[v] == 0]
+    """True iff g contains no directed cycle (iterative Kahn peeling).
+
+    Only vertices with an edge are peeled; the others cannot lie on a cycle.
+    """
+    succ, pred = g._adjacency()
+    indeg = {v: len(us) for v, us in pred.items()}
+    stack = [v for v, d in indeg.items() if d == 0]
     seen = 0
     while stack:
         u = stack.pop()
         seen += 1
-        for w in g._succ[u]:
+        for w in succ[u]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)
-    return seen == g.n
+    return seen == len(indeg)
+
+
+# The form format_graph writes: the header, then one "e u v" line per
+# edge, ASCII digits and single spaces only, with or without a final newline.
+_CANONICAL = re.compile(r"n ([0-9]+)((?:\ne [0-9]+ [0-9]+)*)\n?")
 
 
 def parse_graph(text: str) -> Digraph:
@@ -140,6 +175,37 @@ def parse_graph(text: str) -> Digraph:
     "e <u> <v>".  Duplicate edge lines, loops, and out-of-range endpoints
     are hard errors; the first error in file order is reported.
     """
+    canonical = _CANONICAL.fullmatch(text)
+    if canonical is not None:
+        g = _parse_canonical(canonical)
+        if g is not None:
+            return g
+    return _parse_lines(text)
+
+
+def _parse_canonical(match: re.Match[str]) -> Digraph | None:
+    """The graph of a canonical text checked as a whole, or None when any
+    check fails; _parse_lines then finds and reports the first error."""
+    try:
+        n = int(match[1])
+        if n > _MAX_VERTEX_COUNT:
+            return None
+        # One C-level scan converts every endpoint: the edge lines read as
+        # the JSON list [u, v, u, v, ...].  A number that JSON or int()
+        # rejects (a leading zero, too many digits) sends the text to the
+        # line loop.
+        ends = json.loads("[" + match[2].replace("\ne ", ",").replace(" ", ",")[1:] + "]")
+    except ValueError:
+        return None
+    us, vs = ends[0::2], ends[1::2]
+    edges = frozenset(zip(us, vs))
+    if len(edges) < len(us) or any(map(eq, us, vs)) or us and max(max(us), max(vs)) >= n:
+        return None
+    return Digraph._checked(n, edges)
+
+
+def _parse_lines(text: str) -> Digraph:
+    """parse_graph line by line, for any text; the source of every diagnostic."""
     n: int | None = None
     edges: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -178,7 +244,7 @@ def parse_graph(text: str) -> Digraph:
             raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing header line 'n <N>'")
-    return Digraph(n, edges)
+    return Digraph._checked(n, frozenset(edges))
 
 
 def format_graph(g: Digraph) -> str:

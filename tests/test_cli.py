@@ -1,12 +1,17 @@
+import contextlib
+import io
 import os
 import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import pathreach
 from pathreach.cli import run
@@ -87,12 +92,16 @@ class TestReach:
         assert capsys.readouterr().out.strip() == "UNREACHABLE"
 
 
+def _cli_env():
+    """The environment with this checkout's package importable."""
+    src = str(Path(pathreach.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _cli_subprocess(args, **kwargs):
     """Run `python -m pathreach ARGS` with this checkout's package importable."""
-    src = str(Path(pathreach.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "pathreach", *args], env=env,
+    return subprocess.run([sys.executable, "-m", "pathreach", *args], env=_cli_env(),
                           capture_output=True, timeout=60, **kwargs)
 
 
@@ -165,6 +174,16 @@ class TestHugeGraphHeader:
             ["validate", "--graph", str(graph), "--decomp", str(empty), "--paths"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("command, stdout", [("pathnum-lb", "0\n"), ("decompose", "")])
+    def test_edgeless_graph_at_cap_answers(self, tmp_path, command, stdout):
+        # Work follows the edges, not the header's N.
+        graph = tmp_path / "cap.g"
+        graph.write_text(f"n {self.CAP}\n")
+        proc, elapsed = _run_capped([command, "--graph", str(graph)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
         assert elapsed < 2.0
 
 
@@ -347,6 +366,101 @@ class TestPlumbing:
         graph.write_text(format_graph(gen_random_dag(8, 0.5, 3)))
         pipe = (f"{sys.executable} -m pathreach decompose --graph {graph} | "
                 f"{sys.executable} -m pathreach validate --graph {graph} --decomp - --paths")
-        proc = subprocess.run(pipe, shell=True, capture_output=True, text=True)
+        proc = subprocess.run(pipe, shell=True, env=_cli_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+# Documented stdout line formats, per command.
+WALK_LINE = r"\d+( \d+)*"
+STDOUT_LINE = {
+    "validate": r"ok|(NOT_SIMPLE|EDGE_NOT_IN_GRAPH|EDGE_REPEATED|EDGE_UNCOVERED) .+",
+    "reach": f"{REACHABLE_RE.pattern[1:-1]}|{UNREACHABLE_RE.pattern[1:-1]}",
+    "min-switches": r"\d+|UNREACHABLE",
+    "decompose": WALK_LINE,
+    "pathnum-lb": r"\d+",
+    "oracle": r"REACHABLE( switches=\d+)?|UNREACHABLE",
+    "bench": r"n,k,total_len,query,reachable,switches,iterations,peak_words,nanos"
+             r"|\d+,\d+,\d+,\d+->\d+,[01],\d*,\d+,\d+,\d+",
+    "gen walks": WALK_LINE,
+    "gen dag": r"n \d+|e \d+ \d+",
+}
+
+# Pieces of text that lead into every parser branch.
+_PIECES = ["n", "e", "#", "-", "+", " ", " ", "\t", "\n", "\n", "\r\n", "x", "1.0",
+           "0", "1", "2", "3", "7", "00", "3000000000", "4194304", "4194305", "\u0661"]
+
+
+def _graph_text(n, edges):
+    return f"n {n}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _walks_text(walks):
+    return "".join(" ".join(map(str, w)) + "\n" for w in walks)
+
+
+def _file_bytes():
+    small = st.integers(0, 8)
+    graph_text = st.builds(_graph_text, small, st.lists(st.tuples(small, small), max_size=8))
+    walks_text = st.lists(st.lists(small, min_size=1, max_size=6), max_size=5).map(_walks_text)
+    soup = st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+    return st.one_of(st.binary(max_size=40),
+                     st.one_of(graph_text, walks_text, soup).map(str.encode))
+
+
+@st.composite
+def _input_files(draw):
+    """(graph bytes, decomposition bytes): unrelated, or a DAG and a cover of it."""
+    if draw(st.booleans()):
+        return draw(_file_bytes()), draw(_file_bytes())
+    edges = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda e: e[0] < e[1]), unique=True, max_size=12))
+    return _graph_text(8, edges).encode(), _walks_text(edges).encode()
+
+
+@st.composite
+def _command_lines(draw, graph, decomp):
+    vertex = st.one_of(st.integers(-2, 8), st.just(3000000000))
+    ends = ["--from", str(draw(vertex)), "--to", str(draw(vertex))]
+    small = st.integers(-1, 8).map(str)
+    shapes = [
+        ["validate", "--graph", graph, "--decomp", decomp,
+         draw(st.sampled_from(["--paths", "--walks"]))],
+        [draw(st.sampled_from(["reach", "min-switches"])), "--decomp", decomp,
+         *draw(st.sampled_from([[], ["--graph", graph]])), *ends],
+        ["decompose", "--graph", graph],
+        ["pathnum-lb", "--graph", graph],
+        ["oracle", *draw(st.sampled_from(
+            [[], ["--decomp", decomp], ["--graph", graph], ["--decomp", decomp, "--graph", graph]])),
+         *ends],
+        ["bench", "--decomp", decomp, *draw(st.sampled_from(
+            [["--pairs", "2", "--seed", "1"], [f"--query={ends[1]},{ends[3]}"]]))],
+        ["gen", "walks", "--n", draw(small), "--k", draw(small), "--max-len", draw(small),
+         "--seed", draw(small)],
+        ["gen", "dag", "--n", draw(small), "--p", str(draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]))),
+         "--seed", draw(small)],
+    ]
+    return draw(st.sampled_from(shapes))
+
+
+class TestFuzz:
+    @given(files=_input_files(), data=st.data())
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_run_gives_a_documented_outcome(self, files, data):
+        graph_bytes, decomp_bytes = files
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, decomp = Path(tmp, "in.g"), Path(tmp, "in.walks")
+            graph.write_bytes(graph_bytes)
+            decomp.write_bytes(decomp_bytes)
+            argv = data.draw(_command_lines(str(graph), str(decomp)))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        assert code in (0, 1, 2)
+        # Exit 2 comes with exactly one diagnostic line, other codes with none.
+        err_lines = err.getvalue().splitlines()
+        assert len(err_lines) == (code == 2)
+        assert all(line.startswith("error: ") for line in err_lines)
+        command = " ".join(argv[:2]) if argv[0] == "gen" else argv[0]
+        for line in out.getvalue().splitlines():
+            assert re.fullmatch(STDOUT_LINE[command], line), (argv, line)

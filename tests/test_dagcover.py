@@ -11,6 +11,7 @@ from pathreach.dagcover import (
 )
 from pathreach.decomposition import (
     Walk,
+    WalkDecomposition,
     format_decomposition,
     parse_decomposition,
     path_number_lower_bound,
@@ -151,6 +152,15 @@ class TestMinimalDecomposition:
         assert list(minimal_path_decomposition(g)) == reference
 
     @given(random_dags())
+    @settings(max_examples=100, deadline=None)
+    def test_cover_walks_pass_walk_checks(self, g):
+        # The cover's walks are built without Walk.__init__; rebuilding each
+        # one through it must give the same family, on int vertex ids.
+        cover = minimal_path_decomposition(g)
+        assert WalkDecomposition([Walk(list(p)) for p in cover]) == cover
+        assert all(type(v) is int for p in cover for v in p.vertices)
+
+    @given(random_dags())
     @settings(max_examples=60, deadline=None)
     def test_file_round_trips(self, g):
         assert parse_graph(format_graph(g)) == g
@@ -183,7 +193,6 @@ class TestMinimalDecomposition:
             for x in g.successors(v):
                 if shuffled.out_index[(v, x)] > indeg:
                     walks.append(trace_path(g, shuffled, (v, x)))
-        from pathreach.decomposition import WalkDecomposition
         cover = WalkDecomposition(walks)
         assert validate_path_decomposition(g, cover).ok
         assert cover.k == path_number_lower_bound(g)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathreach import decomposition
 from pathreach.decomposition import (
     DecompositionFormatError,
     ViolationKind,
@@ -205,6 +206,62 @@ def test_parse_decomposition_diagnostic(text, message):
     assert str(info.value) == message
 
 
+# Texts that parse, some canonical (as format_decomposition writes them)
+# and some not: (file text, vertex tuples).
+DECOMPOSITION_ACCEPTED = [
+    ("", []),
+    ("0 1 2\n5\n2 0\n", [(0, 1, 2), (5,), (2, 0)]),
+    ("0 1 2\n2 0", [(0, 1, 2), (2, 0)]),
+    ("00 1\n", [(0, 1)]),
+    ("3000000000 0\n", [(3000000000, 0)]),
+    ("0 1 \n", [(0, 1)]),
+    ("\u0661 2\n", [(1, 2)]),
+    ("0  1\r\n\n# c\n+2 1\n", [(0, 1), (2, 1)]),
+]
+
+
+@pytest.mark.parametrize("text, paths", DECOMPOSITION_ACCEPTED)
+def test_parse_decomposition_accepts(text, paths):
+    w = parse_decomposition(text)
+    assert [walk.vertices for walk in w] == paths
+    assert all(type(v) is int for walk in w for v in walk)
+
+
+def test_canonical_text_skips_the_line_loop(monkeypatch):
+    def line_loop(text):
+        raise AssertionError("canonical text fell back to the line loop")
+
+    w = WalkDecomposition([[0, 1, 2], [5], [2, 0]])
+    monkeypatch.setattr(decomposition, "_parse_lines", line_loop)
+    assert parse_decomposition(format_decomposition(w)) == w
+    assert parse_decomposition("") == WalkDecomposition()
+
+
+def _outcome(parse, text):
+    try:
+        return [walk.vertices for walk in parse(text)]
+    except DecompositionFormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def mutated_canonical_texts(draw):
+    text = format_decomposition(draw(walk_families(max_id=6)))
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from("0123456789 \n\r\t#-+x\u0661\u00b2"))
+    kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if kind == "insert":
+        return text[:i] + c + text[i:]
+    return text[:i] + (c if kind == "replace" else "") + text[i + 1:]
+
+
+@given(mutated_canonical_texts())
+@settings(max_examples=400, deadline=None)
+def test_mutated_canonical_text_matches_line_loop(text):
+    # The whole-text check must give the line loop's walks or diagnostic.
+    assert _outcome(parse_decomposition, text) == _outcome(decomposition._parse_lines, text)
+
+
 @pytest.mark.parametrize("vertices, message", [
     ([], "a walk needs at least one vertex"),
     ([0, -1], "negative vertex id -1"),
@@ -218,11 +275,11 @@ def test_walk_diagnostic(vertices, message):
     assert str(info.value) == message
 
 
-def walk_families():
+def walk_families(max_id=2**40):
     # Vertex lists with consecutive repeats collapsed, so no loop steps.
     def walk(vs):
         return [v for i, v in enumerate(vs) if i == 0 or vs[i - 1] != v]
-    vertex_lists = st.lists(st.integers(min_value=0, max_value=2**40), min_size=1)
+    vertex_lists = st.lists(st.integers(min_value=0, max_value=max_id), min_size=1)
     return st.lists(vertex_lists.map(walk)).map(WalkDecomposition)
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathreach import graph
 from pathreach.graph import (
     DegreePair,
     Digraph,
@@ -100,6 +101,7 @@ GRAPH_DIAGNOSTICS = [
     ("n 2\ne 0 x\n", "line 2: expected integer, got 'x'"),
     ("n 2\ne y x\n", "line 2: expected integer, got 'y'"),
     ("n 2\ne 0 1.0\n", "line 2: expected integer, got '1.0'"),
+    ("n 3\ne \u00b2 1\n", "line 2: expected integer, got '\u00b2'"),
     ("n 2\nx 0 1\n", "line 2: unknown directive 'x'"),
     ("n 2\ne0 1\n", "line 2: unknown directive 'e0'"),
     ("n 2\nN 2\n", "line 2: unknown directive 'N'"),
@@ -124,10 +126,84 @@ def test_parse_graph_diagnostic(text, message):
     assert str(info.value) == message
 
 
+# Texts that parse, some canonical (as format_graph writes them) and some
+# not: (file text, N, edges).
+GRAPH_ACCEPTED = [
+    ("n 3\ne 0 1\ne 1 2\n", 3, {(0, 1), (1, 2)}),
+    ("n 3\ne 0 1", 3, {(0, 1)}),
+    ("n 03\ne 00 1\n", 3, {(0, 1)}),
+    ("n 0\n", 0, set()),
+    ("n 3\ne 0 1 \n", 3, {(0, 1)}),
+    ("n 3\ne \u0661 2\n", 3, {(1, 2)}),
+    ("n 3\ne +0 1\n", 3, {(0, 1)}),
+    ("n 3\r\ne 0 1\r\n", 3, {(0, 1)}),
+    ("# c\nn 3\ne 0 1\n", 3, {(0, 1)}),
+]
+
+
+@pytest.mark.parametrize("text, n, edges", GRAPH_ACCEPTED)
+def test_parse_graph_accepts(text, n, edges):
+    g = parse_graph(text)
+    assert g.n == n and g.edges == edges
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
+def test_canonical_text_skips_the_line_loop(monkeypatch):
+    def line_loop(text):
+        raise AssertionError("canonical text fell back to the line loop")
+
+    text = format_graph(Digraph(5, [(0, 1), (3, 4), (1, 4)]))
+    monkeypatch.setattr(graph, "_parse_lines", line_loop)
+    assert parse_graph(text) == Digraph(5, [(0, 1), (3, 4), (1, 4)])
+    assert parse_graph(text.rstrip("\n")) == Digraph(5, [(0, 1), (3, 4), (1, 4)])
+
+
+def _outcome(parse, text):
+    try:
+        g = parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+    return g.n, g.edges
+
+
+# What one defect may write into a canonical text.
+_DEFECT_CHARS = "0123456789 \n\r\tenx#-+\u0661\u00b2"
+
+
+@st.composite
+def mutated_canonical_texts(draw):
+    text = format_graph(draw(digraphs(max_n=8)))
+    kind = draw(st.sampled_from(["replace", "insert", "delete", "repeat_line", "edge", "header"]))
+    lines = text.splitlines(keepends=True)
+    if kind == "header":
+        return f"n {draw(st.sampled_from([1, 4194304, 4194305]))}\n" + "".join(lines[1:])
+    if kind == "repeat_line":
+        return text + draw(st.sampled_from(lines))
+    if kind == "edge":  # one more edge line, maybe a loop or out of range
+        i = draw(st.integers(1, len(lines)))
+        u, v = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        return "".join(lines[:i]) + f"e {u} {v}\n" + "".join(lines[i:])
+    i = draw(st.integers(0, len(text) - (kind != "insert")))
+    if kind == "delete":
+        return text[:i] + text[i + 1:]
+    c = draw(st.sampled_from(_DEFECT_CHARS))
+    return text[:i] + c + text[i + (kind == "replace"):]
+
+
+@given(mutated_canonical_texts())
+@settings(max_examples=400, deadline=None)
+def test_mutated_canonical_text_matches_line_loop(text):
+    # The whole-text check must give the line loop's graph or diagnostic.
+    assert _outcome(parse_graph, text) == _outcome(graph._parse_lines, text)
+
+
 def test_vertex_count_cap():
     # README "File formats" documents the cap of 2**22 vertices.
     with pytest.raises(GraphFormatError) as info:
         parse_graph("n 4194305\n")
+    assert str(info.value) == "line 1: vertex count 4194305 exceeds the limit 4194304"
+    with pytest.raises(GraphFormatError) as info:
+        parse_graph("n 4194305\ne 0 1\ne 1 2\n")  # canonical, edges valid
     assert str(info.value) == "line 1: vertex count 4194305 exceeds the limit 4194304"
     with pytest.raises(GraphFormatError) as info:
         parse_graph("n 2\ne 0 1\nn 2000000000\n")
