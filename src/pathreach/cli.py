@@ -14,7 +14,7 @@ import random
 import sys
 import time
 from enum import IntEnum
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .dagcover import CyclicGraphError, minimal_path_decomposition
 from .decomposition import (
@@ -235,10 +235,18 @@ def _quad(text: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors print one `error: <message>` line
+    instead of the usage text; subparsers are made with the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(ExitStatus.USAGE, f"error: {' '.join(message.splitlines())}\n")
+
+
 # Built once per process; parse_args leaves the parser as it was.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathreach",
         description="Reachability over walk decompositions and minimal DAG path covers.")
     sub = parser.add_subparsers(dest="command", required=True)

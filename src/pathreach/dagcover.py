@@ -105,7 +105,7 @@ def trace_path(
     graph the result is a simple path; a revisited vertex certifies a cycle
     and raises CyclicGraphError.
     """
-    if start not in g.edges:
+    if not g.has_edge(*start):
         raise ValueError(f"start edge {start} is not in the graph")
     u = start[0]
     if idx.out_index[start] <= len(g.predecessors(u)):

@@ -15,10 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, repeat
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import Digraph, Edge
+from .graph import Digraph, Edge, _step_keys
 
 
 class DecompositionFormatError(ValueError):
@@ -124,7 +125,7 @@ class WalkDecomposition:
     @cached_property
     def max_vertex(self) -> int:
         """Largest vertex id used by any walk, or -1 for an empty family."""
-        return max(map(max, self._paths), default=-1)
+        return max(chain.from_iterable(self._paths), default=-1)
 
     @property
     def implied_vertex_count(self) -> int:
@@ -197,8 +198,7 @@ def union_graph(w: WalkDecomposition, n: int) -> Digraph:
     """Digraph on n vertices whose edges are the deduplicated steps of w."""
     if w.max_vertex >= n:
         raise ValueError(f"walk vertex {w.max_vertex} outside [0, {n})")
-    edges = {step for vs in w._paths for step in zip(vs, vs[1:])}
-    return Digraph(n, edges)
+    return Digraph._checked(n, tuple(sorted(set(_step_keys(n, w._paths)))))
 
 
 def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationReport:
@@ -207,6 +207,15 @@ def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationR
     All failures are collected and reported, never raised.  Single-vertex
     walks carry no edges and are ignored.
     """
+    # Step keys name steps only while every id is below n.  Sorted, they
+    # equal the graph's keys exactly when each edge is used once and no
+    # step leaves the graph.
+    if p.max_vertex < g.n:
+        keys = sorted(_step_keys(g.n, p._paths))
+        if tuple(keys) == g._keys and all(
+                map(eq, map(len, map(set, p._paths)), map(len, p._paths))):
+            return ValidationReport.from_violations(())
+    # Some check fails: name every violation, on (u, v) pairs.
     violations: list[Violation] = []
     for i, vs in enumerate(p._paths):
         if len(set(vs)) < len(vs):
@@ -233,6 +242,9 @@ def validate_walk_decomposition(g: Digraph, w: WalkDecomposition) -> ValidationR
 
     Walks may repeat vertices and share edges; only coverage matters.
     """
+    if w.max_vertex < g.n and set(_step_keys(g.n, w._paths)) == set(g._keys):
+        return ValidationReport.from_violations(())
+    # Some step is not an edge or some edge is missed: name each, on (u, v) pairs.
     violations: list[Violation] = []
     used = {step for vs in w._paths for step in zip(vs, vs[1:])}
     for e in sorted(used - g.edges):
@@ -285,7 +297,11 @@ def _parse_canonical(text: str) -> WalkDecomposition | None:
         return None
     paths = list(map(tuple, rows))
     # Canonical ids carry no sign, so a loop step is the only defect left.
-    if any(any(map(eq, vs, vs[1:])) for vs in paths):
+    # One pass over the ids of all walks finds every loop step, and also
+    # equal ids where one walk ends and the next begins; only a hit there
+    # needs the check walk by walk.
+    flat = list(chain.from_iterable(paths))
+    if any(map(eq, flat, flat[1:])) and any(any(map(eq, vs, vs[1:])) for vs in paths):
         return None
     return WalkDecomposition._checked(paths)
 
@@ -314,4 +330,4 @@ def format_decomposition(w: WalkDecomposition) -> str:
     """Serialize w in the decomposition file format (empty string for k=0)."""
     if not w._paths:
         return ""
-    return "\n".join(" ".join(map(str, vs)) for vs in w._paths) + "\n"
+    return "\n".join(map(" ".join, map(map, repeat(str), w._paths))) + "\n"

@@ -2,16 +2,20 @@
 
 Graphs have no loops and no parallel arcs.  Vertex ids are the integers
 0..n-1; callers that work with named vertices must map names to ids
-themselves.  Adjacency lists are kept sorted so that neighbor iteration
-is deterministic.
+themselves.  A graph holds its edges as ascending integer keys u * n + v,
+so an edge (u, v) sorts before (u', v') exactly when its key is smaller;
+adjacency lists built from them come out sorted, so neighbor iteration is
+deterministic.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from collections import defaultdict
-from operator import eq
+from itertools import repeat
+from operator import add, eq, floordiv, lt, mod, mul
 from typing import Iterable, NamedTuple
 
 Edge = tuple[int, int]
@@ -38,34 +42,40 @@ class DegreePair(NamedTuple):
 class Digraph:
     """Simple directed graph on vertices 0..n-1, immutable after construction."""
 
-    __slots__ = ("_n", "_edges", "_adj")
+    __slots__ = ("_n", "_keys", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        edge_set = frozenset((int(u), int(v)) for u, v in edges)
-        if edge_set:
-            us, vs = zip(*edge_set)
-            if any(map(eq, us, vs)) or min(min(us), min(vs)) < 0 or max(max(us), max(vs)) >= n:
-                _reject_first_bad_edge(n, edge_set)
-        self._n = n
-        self._edges = edge_set
-        self._adj: tuple[_Adjacency, _Adjacency] | None = None
+        columns = list(zip(*edges)) or [(), ()]
+        us, vs = (list(map(int, column)) for column in columns)
+        if us and (any(map(eq, us, vs)) or min(min(us), min(vs)) < 0
+                   or max(max(us), max(vs)) >= n):
+            _reject_first_bad_edge(n, zip(us, vs))
+        keys = sorted(_edge_keys(n, us, vs))
+        if any(map(eq, keys, keys[1:])):  # a repeated edge counts once
+            keys = sorted(set(keys))
+        self._init(n, tuple(keys))
 
     @classmethod
-    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Digraph":
-        """Digraph on int edges already known to be loop-free and inside [0, n)."""
+    def _checked(cls, n: int, keys: tuple[int, ...]) -> "Digraph":
+        """Digraph on the strictly ascending keys of edges already known to
+        be loop-free and inside [0, n)."""
         g = cls.__new__(cls)
-        g._n = n
-        g._edges = edges
-        g._adj = None
+        g._init(n, keys)
         return g
+
+    def _init(self, n: int, keys: tuple[int, ...]) -> None:
+        self._n = n
+        self._keys = keys
+        self._edges: frozenset[Edge] | None = None
+        self._adj: tuple[_Adjacency, _Adjacency] | None = None
 
     def _adjacency(self) -> tuple[_Adjacency, _Adjacency]:
         """(successors, predecessors) as _build_adjacency gives them, built
-        on first use: checking a cover against the graph needs only edges."""
+        on first use: checking a cover against the graph needs only keys."""
         if self._adj is None:
-            self._adj = _build_adjacency(self._edges)
+            self._adj = _build_adjacency(self._n, self._keys)
         return self._adj
 
     @property
@@ -74,11 +84,14 @@ class Digraph:
 
     @property
     def edges(self) -> frozenset[Edge]:
+        """The edges as (u, v) pairs, built on first use."""
+        if self._edges is None:
+            self._edges = frozenset(map(divmod, self._keys, repeat(self._n)))
         return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._keys)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self._n):
@@ -95,41 +108,59 @@ class Digraph:
         return self._adjacency()[1].get(v, ())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges
+        """True iff (u, v) is an edge; ids outside [0, n) are on none, even
+        where u * n + v is the key of another edge."""
+        n, keys = self._n, self._keys
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        key = u * n + v
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self._keys))
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self._n}, edges={len(self._edges)})"
+        return f"Digraph(n={self._n}, edges={len(self._keys)})"
 
 
-def _build_adjacency(edges: Iterable[Edge]) -> tuple[_Adjacency, _Adjacency]:
+def _edge_keys(n: int, us: Iterable[int], vs: Iterable[int]) -> Iterable[int]:
+    """The key u * n + v of each edge (u, v) with 0 <= v < n."""
+    return map(add, map(mul, us, repeat(n)), vs)
+
+
+def _step_keys(n: int, walks: Iterable[tuple[int, ...]]) -> list[int]:
+    """The key of every step (u, v) of the walks, whose ids are all below n."""
+    return [u * n + v for vs in walks for u, v in zip(vs, vs[1:])]
+
+
+def _build_adjacency(n: int, keys: tuple[int, ...]) -> tuple[_Adjacency, _Adjacency]:
     """Sorted successors and predecessors of every vertex with an edge.
 
     Both dicts have exactly those vertices as keys (with () for a missing
     side), so memory follows the edges, not the vertex count, and a walk
-    along edges can index either dict at every vertex it reaches.
+    along edges can index either dict at every vertex it reaches.  The
+    keys ascend, so each list is filled in ascending order.
     """
     out: defaultdict[int, list[int]] = defaultdict(list)
     inc: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in edges:
+    for u, v in zip(map(floordiv, keys, repeat(n)), map(mod, keys, repeat(n))):
         out[u].append(v)
         inc[v].append(u)
     succ: _Adjacency = {}
     pred: _Adjacency = {}
     for v in out.keys() | inc.keys():
-        succ[v] = tuple(sorted(out.get(v, ())))
-        pred[v] = tuple(sorted(inc.get(v, ())))
+        succ[v] = tuple(out.get(v, ()))
+        pred[v] = tuple(inc.get(v, ()))
     return succ, pred
 
 
-def _reject_first_bad_edge(n: int, edges: frozenset[Edge]) -> None:
+def _reject_first_bad_edge(n: int, edges: Iterable[Edge]) -> None:
     """Raise for the smallest loop or out-of-range edge."""
     for u, v in sorted(edges):
         if u == v:
@@ -198,31 +229,38 @@ def _parse_canonical(match: re.Match[str]) -> Digraph | None:
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]
-    edges = frozenset(zip(us, vs))
-    if len(edges) < len(us) or any(map(eq, us, vs)) or us and max(max(us), max(vs)) >= n:
+    if any(map(eq, us, vs)) or us and max(max(us), max(vs)) >= n:
         return None
-    return Digraph._checked(n, edges)
+    # Lines in the order format_graph writes give strictly ascending keys,
+    # which proves there are no duplicates; any other order is sorted and
+    # then has a duplicate exactly where two neighbors are equal.
+    keys = list(_edge_keys(n, us, vs))
+    if not all(map(lt, keys, keys[1:])):
+        keys.sort()
+        if any(map(eq, keys, keys[1:])):
+            return None
+    return Digraph._checked(n, tuple(keys))
 
 
 def _parse_lines(text: str) -> Digraph:
     """parse_graph line by line, for any text; the source of every diagnostic."""
     n: int | None = None
-    edges: set[Edge] = set()
+    keys: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
             try:
-                edge = (int(parts[1]), int(parts[2]))
+                u, v = int(parts[1]), int(parts[2])
             except ValueError:  # _parse_int names the first token that is not one
-                edge = (_parse_int(parts[1], lineno), _parse_int(parts[2], lineno))
-            u, v = edge
+                u, v = _parse_int(parts[1], lineno), _parse_int(parts[2], lineno)
             if u == v:
                 raise GraphFormatError(f"line {lineno}: loop edge ({u}, {v})")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"line {lineno}: vertex id outside [0, {n})")
-            if edge in edges:
+            key = u * n + v
+            if key in keys:
                 raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-            edges.add(edge)
+            keys.add(key)
         elif not parts or parts[0].startswith("#"):
             continue
         elif parts[0] == "n":
@@ -244,13 +282,13 @@ def _parse_lines(text: str) -> Digraph:
             raise GraphFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise GraphFormatError("missing header line 'n <N>'")
-    return Digraph._checked(n, frozenset(edges))
+    return Digraph._checked(n, tuple(sorted(keys)))
 
 
 def format_graph(g: Digraph) -> str:
     """Serialize g in the graph file format with edges sorted."""
     lines = [f"n {g.n}"]
-    lines.extend(f"e {u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"e {u} {v}" for u, v in map(divmod, g._keys, repeat(g.n)))
     return "\n".join(lines) + "\n"
 
 

@@ -325,6 +325,24 @@ class TestPlumbing:
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--decomp", "d.walks", "--query", "-2,3"],
+        ["reach", "--decomp", "d.walks", "--from", "x", "--to", "1"],
+        ["validate", "--graph", "g.g"],
+        ["gen", "dag", "--n", "3"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_usage_error_is_one_line(self, argv, capsys):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_help_prints_usage(self, capsys):
+        assert run(["validate", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: pathreach validate") and "--paths" in out and err == ""
+
     def test_missing_file(self, capsys):
         assert run(["pathnum-lb", "--graph", "/nonexistent/x.g"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -439,8 +457,17 @@ def _command_lines(draw, graph, decomp):
          "--seed", draw(small)],
         ["gen", "dag", "--n", draw(small), "--p", str(draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]))),
          "--seed", draw(small)],
+        # Shapes argparse itself may reject: "-2,3" reads as an option, and
+        # --from needs an int.
+        ["bench", "--decomp", decomp, "--query", f"{ends[1]},{ends[3]}"],
+        [draw(st.sampled_from(["reach", "min-switches", "oracle"])), "--decomp", decomp,
+         "--from", draw(st.sampled_from(["x", "1.5", "", "-", "--to"])), "--to", ends[3]],
     ]
-    return draw(st.sampled_from(shapes))
+    argv = draw(st.sampled_from(shapes))
+    if draw(st.booleans()):
+        # A missing option, option value or mode flag.
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    return argv
 
 
 class TestFuzz:

@@ -119,6 +119,19 @@ class TestMinimalDecomposition:
         with pytest.raises(CyclicGraphError, match="not acyclic"):
             minimal_path_decomposition(Digraph(2, [(0, 1), (1, 0)]))
 
+    def test_cycle_with_simple_covering_traces_rejected(self):
+        # 1 -> 3 -> 1 is a cycle, yet the traces from the legal starts,
+        # (1, 3, 0) and (4, 3, 1, 2), are simple and cover all five edges:
+        # no check of coverage or revisits can stand in for the acyclicity
+        # check that minimal_path_decomposition makes first.
+        g = Digraph(5, [(4, 3), (3, 0), (3, 1), (1, 2), (1, 3)])
+        idx = assign_edge_indices(g)
+        traces = [trace_path(g, idx, start).vertices for start in [(1, 3), (4, 3)]]
+        assert traces == [(1, 3, 0), (4, 3, 1, 2)]
+        assert validate_path_decomposition(g, WalkDecomposition(traces)).ok
+        with pytest.raises(CyclicGraphError, match="^graph is not acyclic$"):
+            minimal_path_decomposition(g)
+
     def test_edgeless(self):
         assert minimal_path_decomposition(Digraph(5)).k == 0
 

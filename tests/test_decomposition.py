@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathreach import decomposition
+from pathreach.dagcover import minimal_path_decomposition
 from pathreach.decomposition import (
     DecompositionFormatError,
     ViolationKind,
@@ -317,3 +320,74 @@ def test_valid_path_decomposition_properties(p):
     assert sum(len(w) - 1 for w in p) == g.edge_count
     # every valid path decomposition is also a valid walk decomposition
     assert validate_walk_decomposition(g, p).ok
+
+
+def _reference_violations(edges, paths, paths_mode):
+    """(kind, detail) pairs of the validators, computed on tuple sets."""
+    out = []
+    if paths_mode:
+        out += [("NOT_SIMPLE", f"walk {i} repeats a vertex: {list(vs)}")
+                for i, vs in enumerate(paths) if len(set(vs)) < len(vs)]
+    steps = [step for vs in paths for step in zip(vs, vs[1:])]
+    counts = Counter(steps)
+    out += [("EDGE_NOT_IN_GRAPH", f"step {e} is not an edge of the graph")
+            for e in sorted(counts.keys() - edges)]
+    if paths_mode:
+        out += [("EDGE_REPEATED", f"edge {e} is used {counts[e]} times")
+                for e in sorted(counts) if counts[e] > 1 and e in edges]
+    noun = "path" if paths_mode else "walk"
+    out += [("EDGE_UNCOVERED", f"edge {e} lies on no {noun}") for e in sorted(edges - counts.keys())]
+    return out
+
+
+MUTATIONS = ["none", "drop", "duplicate", "extra-step", "out-of-range", "repeat"]
+
+
+@st.composite
+def mutated_covers(draw):
+    """(n, edges, family): a random DAG and its minimal cover, changed in one way."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    paths = [list(walk) for walk in minimal_path_decomposition(Digraph(n, edges))] or [[0]]
+    i = draw(st.integers(0, len(paths) - 1))
+    last = paths[i][-1]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    if mutation == "drop":
+        del paths[i]
+    elif mutation == "duplicate":
+        paths.append(paths[i])
+    elif mutation == "extra-step":
+        paths[i] = paths[i] + [draw(st.integers(0, n - 1).filter(lambda v: v != last))]
+    elif mutation == "out-of-range":
+        paths[i] = paths[i] + [n + draw(st.integers(0, 2 * n))]
+    elif mutation == "repeat":
+        paths[i] = paths[i] + [draw(st.sampled_from(paths[i][:-1] or [last + 1]))]
+    return n, edges, paths
+
+
+@st.composite
+def graphs_with_families(draw):
+    """(n, edges, family): any graph, and walks on ids up to n + 1 without loop steps."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    walk = st.lists(st.integers(0, n + 1), min_size=1, max_size=6).map(
+        lambda vs: [v for j, v in enumerate(vs) if j == 0 or vs[j - 1] != v])
+    return n, edges, draw(st.lists(walk, max_size=5))
+
+
+@given(st.one_of(mutated_covers(), graphs_with_families()))
+# The step (0, 5) has the key 0 * 3 + 5 of the edge (1, 2), so a key
+# comparison alone would call this cover exact.
+@example((3, [(1, 2)], [[0, 5]]))
+@settings(max_examples=300, deadline=None)
+def test_validators_match_tuple_set_reference(case):
+    n, edges, paths = case
+    g, w = Digraph(n, edges), WalkDecomposition(paths)
+    for validate, paths_mode in ((validate_path_decomposition, True),
+                                 (validate_walk_decomposition, False)):
+        report = validate(g, w)
+        got = [(v.kind.value, v.detail) for v in report.violations]
+        assert got == _reference_violations(set(edges), paths, paths_mode)
+        assert report.ok == (not got)

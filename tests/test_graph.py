@@ -292,3 +292,41 @@ def test_degree_sums_equal_edge_count(g):
 @settings(max_examples=100, deadline=None)
 def test_format_parse_roundtrip(g):
     assert parse_graph(format_graph(g)) == g
+
+
+@st.composite
+def edge_lists(draw, max_n=8):
+    """(n, edges): a vertex count and distinct non-loop edges in random order."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return n, draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+
+
+@given(edge_lists())
+@settings(max_examples=200, deadline=None)
+def test_representation_matches_tuple_set_model(case):
+    n, edges = case
+    model = set(edges)
+    lines = "".join(f"e {u} {v}\n" for u, v in edges)
+    graphs = [
+        Digraph(n, edges),
+        Digraph(n, edges + edges[::-1]),         # a repeated edge counts once
+        parse_graph(f"n {n}\n{lines}"),          # canonical form, any line order
+        parse_graph(f"# c\nn {n}\n{lines}"),     # the line loop
+        parse_graph(format_graph(Digraph(n, edges))),
+    ]
+    for g in graphs:
+        assert type(g.edges) is frozenset and g.edges == model
+        assert g.edge_count == len(model)
+        for v in range(n):
+            assert g.successors(v) == tuple(sorted(b for a, b in model if a == v))
+            assert g.predecessors(v) == tuple(sorted(a for a, b in model if b == v))
+        # Ids outside [0, n) are never endpoints, even where u * n + v
+        # would name an edge of the graph.
+        for u in range(-2, n + 3):
+            for v in range(-2, n + 3):
+                assert g.has_edge(u, v) == ((u, v) in model)
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+    assert graphs[0] != Digraph(n + 1, edges)
+    if edges:
+        assert graphs[0] != Digraph(n, edges[1:])
