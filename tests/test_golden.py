@@ -1,12 +1,15 @@
-"""Byte identity of the graph commands' output.
+"""Byte identity of the commands' output and of every reach answer.
 
 Runs `cli.run` for decompose, pathnum-lb, validate --paths and
 validate --walks on random DAGs, on their covers and on corrupted covers,
 and compares the sha256 of each run's exit code, stdout and stderr with a
-table recorded from a known-good build.  A change that alters any output
-byte, diagnostic or exit code fails here.  When such a change is
-intended, print a new table with `PYTHONPATH=src python tests/test_golden.py`
-and replace GOLDEN with it.
+table recorded from a known-good build.  A second table pins, per
+instance, the sha256 of every field of `decide_reachability`'s result for
+every (s, t) pair, plus a handful of reach and min-switches runs through
+`cli.run`.  A change that alters any output byte, diagnostic, exit code
+or `ReachResult` field fails here.  When such a change is intended, print
+new tables with `PYTHONPATH=src python tests/test_golden.py` and replace
+GOLDEN and REACH_GOLDEN with them.
 """
 
 import contextlib
@@ -19,8 +22,16 @@ from pathlib import Path
 import pytest
 
 from pathreach.cli import run
+from pathreach.dagcover import minimal_path_decomposition
+from pathreach.decomposition import format_decomposition
 from pathreach.graph import format_graph
-from pathreach.testkit import gen_random_dag
+from pathreach.reach import decide_reachability
+from pathreach.testkit import (
+    InstanceSeed,
+    gen_decomposed_instance,
+    gen_random_dag,
+    switch_chain,
+)
 
 SEEDS = (1, 2, 3)
 N, P = 200, 0.05
@@ -186,10 +197,107 @@ GOLDEN = {
 }
 
 
+REACH_GOLDEN = {
+    "pairs chain": "09587b40c21222aede718e571a6ec10ba8f31e28fdc6df16a42cdf2332909863",
+    "pairs walks 1": "01138d734c4e811529125c3794f1a784515f30e40f535d8db1c1a33bab9dc598",
+    "pairs walks 2": "74164cf8022bb8e28068147d875764da1febb5b9b9ba3d8b5ddefde5d2816a1d",
+    "pairs walks 3": "3c76d4bf7d3bd3e6246ce1bdf21dcfc9246777764ae8067b89de894c2d36dfc4",
+    "pairs dag cover": "2cf0454df543c2ef4f3a00da3842501cc0f26b0494b341c6ed5a62c0d77259c6",
+    "chain: reach --from 0 --to 39": "67d9b9acdad59ef21a53176bdf24fdaa37b171239fd2d249b3f0d14aa9b05ccd",
+    "chain: reach --from 39 --to 0": "7e34d75ab5569b94fcd28beb94230bb47675d27a5c1012bdf0551fc1e5b36ede",
+    "chain: min-switches --from 0 --to 39": "816df249412953516d876d439d8269bfe44ef17a615e5b26126832b44f4b22bd",
+    "chain: min-switches --from 5 --to 5": "93ae3b536c740e244712538e00afe02c545d44b8f943a800abe8c753f4d55309",
+    "chain: reach --from 0 --to 40": "2989e2f8f23a1f665860053b01111a30416ed519a4100801762f93123f5bf0dc",
+    "walks 1: reach --from 6 --to 8": "887d0e529440d85e26b3a6411c47cda51c094e5a905bacb39a53b5683984839a",
+    "walks 1: reach --from 6 --to 1": "e543d6c1bac87b0f1f0af795061cdc6c4d4739e6aa7d4a4182218e6f5f0df731",
+    "walks 1: reach --from 1 --to 3": "bd53f6a84624646ffc5cd8143fb1cfef2eef7b9c27bc68c72d978043f1642cdd",
+    "walks 1: min-switches --from 17 --to 3": "e672b53e3f7b9098194cade0e1073279c558b8ca1759ad7ed0c55e6d5af559db",
+    "dag cover: reach --graph <graph> --from 0 --to 59": "6aa76f372da882a4e1a876033b85790986dcf2b2ea2483032b284d54373539b2",
+    "dag cover: reach --graph <graph> --from 59 --to 0": "7e62234b4d2fe6bc0dc68ebe4b694c752a73e6b58a6d6f3a07a641ec5125a439",
+    "dag cover: reach --graph <graph> --from 28 --to 59": "cee3d4b901ed414e8be47f5d3ef64b79446139af9c34a650875d90992da10757",
+    "dag cover: min-switches --graph <graph> --from 2 --to 50": "63400b7c6c5bc09fc7350f2c6543f5de81c3648cd8adcf18a16d7bfa62aba7de",
+}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_outputs_match_recorded_digests(seed):
     got = {f"{seed} {label}": digest for label, digest in _runs(seed)}
     assert got == {key: d for key, d in GOLDEN.items() if key.split()[0] == str(seed)}
+
+
+def _reach_instances():
+    """(label, decomposition, universe) for every instance of the reach table."""
+    instances = [("chain", switch_chain(40, 3), 40)]
+    for seed in (1, 2, 3):
+        w = gen_decomposed_instance(InstanceSeed(30, 6, 12, seed=seed))
+        instances.append((f"walks {seed}", w, 30))
+    instances.append(("dag cover", minimal_path_decomposition(gen_random_dag(60, 0.1, 1)), 60))
+    return instances
+
+
+def _all_pairs_digest(w, n):
+    """sha256 over (s, t, reachable, min_switches, iterations, peak_words)
+    for every pair of vertices in [0, n)."""
+    h = hashlib.sha256()
+    for s in range(n):
+        for t in range(n):
+            r = decide_reachability(w, s, t, n=n)
+            h.update(f"{s} {t} {r.reachable} {r.min_switches} {r.iterations} "
+                     f"{r.peak_words}\n".encode())
+    return h.hexdigest()
+
+
+# The CLI reach runs: (instance, argv without --decomp).  Vertex 1 occurs
+# in no walk of "walks 1" and vertex 28 in no path of "dag cover", which
+# makes them an absent source or target.
+_REACH_RUNS = [
+    ("chain", ["reach", "--from", "0", "--to", "39"]),
+    ("chain", ["reach", "--from", "39", "--to", "0"]),
+    ("chain", ["min-switches", "--from", "0", "--to", "39"]),
+    ("chain", ["min-switches", "--from", "5", "--to", "5"]),
+    ("chain", ["reach", "--from", "0", "--to", "40"]),
+    ("walks 1", ["reach", "--from", "6", "--to", "8"]),
+    ("walks 1", ["reach", "--from", "6", "--to", "1"]),
+    ("walks 1", ["reach", "--from", "1", "--to", "3"]),
+    ("walks 1", ["min-switches", "--from", "17", "--to", "3"]),
+    ("dag cover", ["reach", "--graph", "<graph>", "--from", "0", "--to", "59"]),
+    ("dag cover", ["reach", "--graph", "<graph>", "--from", "59", "--to", "0"]),
+    ("dag cover", ["reach", "--graph", "<graph>", "--from", "28", "--to", "59"]),
+    ("dag cover", ["min-switches", "--graph", "<graph>", "--from", "2", "--to", "50"]),
+]
+
+
+def _reach_runs():
+    """(label, sha256) for the all-pairs tables and the CLI reach runs."""
+    instances = _reach_instances()
+    results = [(f"pairs {label}", _all_pairs_digest(w, n)) for label, w, n in instances]
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp, "dag.g")
+        graph.write_text(format_graph(gen_random_dag(60, 0.1, 1)))
+        files = {}
+        for label, w, _ in instances:
+            files[label] = Path(tmp, label.replace(" ", "-") + ".walks")
+            files[label].write_text(format_decomposition(w))
+        for label, args in _REACH_RUNS:
+            argv = [args[0], "--decomp", str(files[label])]
+            argv += [str(graph) if a == "<graph>" else a for a in args[1:]]
+            digest, _ = _digest(argv, tmp)
+            results.append((f"{label}: {' '.join(args)}", digest))
+    return results
+
+
+@pytest.fixture(scope="module")
+def reach_runs():
+    return dict(_reach_runs())
+
+
+@pytest.mark.parametrize("label", list(REACH_GOLDEN))
+def test_reach_answers_match_recorded_digests(label, reach_runs):
+    assert reach_runs[label] == REACH_GOLDEN[label]
+
+
+def test_reach_table_is_complete(reach_runs):
+    assert set(reach_runs) == set(REACH_GOLDEN)
 
 
 if __name__ == "__main__":
@@ -197,4 +305,8 @@ if __name__ == "__main__":
     for seed in SEEDS:
         for label, digest in _runs(seed):
             print(f'    "{seed} {label}": "{digest}",')
+    print("}")
+    print("REACH_GOLDEN = {")
+    for label, digest in _reach_runs():
+        print(f'    "{label}": "{digest}",')
     print("}")
