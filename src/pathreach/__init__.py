@@ -1,9 +1,9 @@
 """Reachability over walk decompositions and minimal path covers of DAGs.
 
 Given a directed graph together with a family of k walks covering its
-edges, reachability queries run with 2k index registers plus a constant
-number of scalars of working state, and report the minimum number of
-switches between walks along the way.  For acyclic graphs the package
+edges, reachability queries (decide_reachability) run with 2k index
+registers plus eight scalars of working state, and report the minimum
+number of switches between walks along the way.  For acyclic graphs the package
 also computes a provably minimal edge-disjoint path cover by numbering
 each vertex's incident edges and following the numbers.
 """
@@ -38,16 +38,7 @@ from .graph import (
     is_acyclic,
     parse_graph,
 )
-from .reach import (
-    FrontierRegisters,
-    ReachResult,
-    RegisterMeter,
-    advance_frontier,
-    decide_reachability,
-    earliest_occurrence,
-    initial_frontier,
-    occurs_from,
-)
+from .reach import ReachResult, decide_reachability
 
 __all__ = [
     "CyclicGraphError",
@@ -55,26 +46,20 @@ __all__ = [
     "DegreePair",
     "Digraph",
     "EdgeIndexing",
-    "FrontierRegisters",
     "GraphFormatError",
     "ReachResult",
-    "RegisterMeter",
     "ValidationReport",
     "Violation",
     "ViolationKind",
     "Walk",
     "WalkDecomposition",
-    "advance_frontier",
     "assign_edge_indices",
     "decide_reachability",
     "degrees",
-    "earliest_occurrence",
     "format_decomposition",
     "format_graph",
-    "initial_frontier",
     "is_acyclic",
     "minimal_path_decomposition",
-    "occurs_from",
     "parse_decomposition",
     "parse_graph",
     "path_number_lower_bound",

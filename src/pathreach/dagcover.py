@@ -12,27 +12,13 @@ imbalance lower bound, so the cover is minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
 
 from .decomposition import Walk, WalkDecomposition
 from .graph import Digraph, Edge, is_acyclic
-from .reach import RegisterMeter
 
 
 class CyclicGraphError(ValueError):
     """The input graph contains a directed cycle."""
-
-
-# Scalar locals of a trace: previous, current and next vertex, and the
-# emitted length used as the cycle guard.
-_TRACE_SCRATCH_WORDS = 4
-
-# What a trace follows: for every vertex v with an incoming edge,
-# continuations[v][u] is the vertex after v when v was entered from u, the
-# head of v's outgoing edge whose out number equals the in number of (u, v).
-# u is absent when v has no such edge, and the trace ends at v.
-_Continuations = dict[int, dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -45,16 +31,6 @@ class EdgeIndexing:
 
     in_index: dict[Edge, int]
     out_index: dict[Edge, int]
-
-    @cached_property
-    def _continuations(self) -> _Continuations:
-        head = {(u, r): v for (u, v), r in self.out_index.items()}
-        continuations: _Continuations = {}
-        for (u, v), r in self.in_index.items():
-            after = continuations.setdefault(v, {})
-            if (v, r) in head:
-                after[u] = head[(v, r)]
-        return continuations
 
 
 def assign_edge_indices(g: Digraph) -> EdgeIndexing:
@@ -71,56 +47,39 @@ def assign_edge_indices(g: Digraph) -> EdgeIndexing:
     return EdgeIndexing(in_index=in_index, out_index=out_index)
 
 
-def _follow(continuations: _Continuations, starts: Iterable[Edge], limit: int,
-            meter: RegisterMeter | None) -> list[tuple[int, ...]]:
-    """Vertices of the trace that begins with each start edge: entering v
-    through the edge numbered i, it leaves along v's outgoing edge numbered
-    i until there is none.  More than limit vertices certify a cycle."""
-    if meter is not None:
-        meter.acquire(_TRACE_SCRATCH_WORDS)
-    try:
-        traces = []
-        for u, v in starts:
-            verts = [u, v]
-            w = continuations[v].get(u)
-            while w is not None:
-                verts.append(w)
-                if len(verts) > limit:
-                    raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
-                u, v = v, w
-                w = continuations[v].get(u)
-            traces.append(tuple(verts))
-        return traces
-    finally:
-        if meter is not None:
-            meter.release(_TRACE_SCRATCH_WORDS)
-
-
-def trace_path(
-    g: Digraph, idx: EdgeIndexing, start: Edge, meter: RegisterMeter | None = None
-) -> Walk:
+def trace_path(g: Digraph, idx: EdgeIndexing, start: Edge) -> Walk:
     """Follow the edge numbering from a legal start edge until it runs out.
 
-    The start edge (v, w) must satisfy out_index > indeg(v).  On an acyclic
-    graph the result is a simple path; a revisited vertex certifies a cycle
-    and raises CyclicGraphError.
+    The start edge (v, w) must satisfy out_index > indeg(v).  After
+    entering a vertex through the edge with in number i, the trace leaves
+    along its outgoing edge with out number i, and ends where there is
+    none.  On an acyclic graph the result is a simple path; a revisited
+    vertex certifies a cycle and raises CyclicGraphError.
     """
     if not g.has_edge(*start):
         raise ValueError(f"start edge {start} is not in the graph")
-    u = start[0]
+    u, v = start
     if idx.out_index[start] <= len(g.predecessors(u)):
         raise ValueError(
             f"edge {start} is not a legal path start: its out number "
             f"{idx.out_index[start]} does not exceed indeg({u})={len(g.predecessors(u))}")
-    [verts] = _follow(idx._continuations, [start], g.n, meter)
+    verts = [u, v]
+    while True:
+        r = idx.in_index[(u, v)]
+        w = next((x for x in g.successors(v) if idx.out_index[(v, x)] == r), None)
+        if w is None:
+            break
+        verts.append(w)
+        # More than n vertices certify a cycle, and end the loop on one.
+        if len(verts) > g.n:
+            raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
+        u, v = v, w
     if len(set(verts)) != len(verts):
         raise CyclicGraphError("trace revisits a vertex: the graph is not acyclic")
     return Walk(verts)
 
 
-def minimal_path_decomposition(
-    g: Digraph, meter: RegisterMeter | None = None
-) -> WalkDecomposition:
+def minimal_path_decomposition(g: Digraph) -> WalkDecomposition:
     """Minimal path decomposition of an acyclic g.
 
     Paths are emitted in ascending order of start vertex and start edge
@@ -133,9 +92,21 @@ def minimal_path_decomposition(
     # ascending order has in number j + 1 and the j-th successor out number
     # j + 1, so a trace entering v from its j-th predecessor leaves to its
     # j-th successor, and the starts are the successors past indeg(v).
+    # continuations[v][u] is the vertex after v when v was entered from u;
+    # u is absent when the trace ends at v.
     successors, predecessors = g._adjacency()
     continuations = {v: dict(zip(us, successors[v])) for v, us in predecessors.items()}
-    starts = ((v, x) for v in sorted(successors) for x in successors[v][len(predecessors[v]):])
-    # A trace on an acyclic graph is a simple path of int ids, so it passes
-    # every check of Walk.__init__.
-    return WalkDecomposition._checked(_follow(continuations, starts, g.n, meter))
+    paths = []
+    for v in sorted(successors):
+        for x in successors[v][len(predecessors[v]):]:
+            path = [v, x]
+            u, y = v, x
+            z = continuations[y].get(u)
+            # On an acyclic graph every trace ends, as a simple path of
+            # int ids, so it passes every check of Walk.__init__.
+            while z is not None:
+                path.append(z)
+                u, y = y, z
+                z = continuations[y].get(u)
+            paths.append(tuple(path))
+    return WalkDecomposition._checked(paths)

@@ -292,10 +292,11 @@ def _parse_canonical(text: str) -> WalkDecomposition | None:
     # (a leading zero, too many digits) sends the text to the line loop.
     body = text[:-1].replace(" ", ",").replace("\n", "],[")
     try:
-        rows = json.loads(f"[[{body}]]") if text else []
+        # No name holds the JSON row lists, so they are freed before flat
+        # is built below.
+        paths = list(map(tuple, json.loads(f"[[{body}]]"))) if text else []
     except ValueError:
         return None
-    paths = list(map(tuple, rows))
     # Canonical ids carry no sign, so a loop step is the only defect left.
     # One pass over the ids of all walks finds every loop step, and also
     # equal ids where one walk ends and the next begins; only a hit there

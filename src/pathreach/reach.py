@@ -14,17 +14,19 @@ vertex, the (walk, first, last) entry of every walk it occurs in.  A
 scanned position therefore checks only the walks that contain its
 vertex, not all k registers.
 
-The frontier is advanced once while initializing, so that after round l
-the registers point at the earliest vertices reachable with at most l
-switches and the round-l target check answers "reachable with at most l
-switches" exactly.
+One generator, _rounds, runs the frontier: it yields the registers of
+level 0, the earliest occurrences of the source, and then those of every
+level l, which point at the earliest vertices reachable with at most l
+switches.  The round-l target check therefore answers "reachable with at
+most l switches" exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .decomposition import Walk, WalkDecomposition
+from .decomposition import WalkDecomposition
 
 # Register value meaning "no position known"; larger than any real position
 # so that comparisons against occurrence positions fail without branching.
@@ -37,36 +39,6 @@ _ABSENT = 1 << 60
 _QUERY_SCRATCH_WORDS = 8
 
 
-class RegisterMeter:
-    """Counts index-sized working cells; peak_words is the high-water mark.
-
-    Read-only input (the decomposition, its cached occurrence index, the
-    graph) is not counted, only per-query working state.
-    """
-
-    __slots__ = ("words", "peak_words")
-
-    def __init__(self) -> None:
-        self.words = 0
-        self.peak_words = 0
-
-    def acquire(self, n: int) -> None:
-        self.words += n
-        if self.words > self.peak_words:
-            self.peak_words = self.words
-
-    def release(self, n: int) -> None:
-        self.words -= n
-
-
-@dataclass(frozen=True)
-class FrontierRegisters:
-    """The per-walk register pair: current frontier c and staging buffer d."""
-
-    c: tuple[int | None, ...]
-    d: tuple[int | None, ...]
-
-
 @dataclass(frozen=True)
 class ReachResult:
     reachable: bool
@@ -75,51 +47,7 @@ class ReachResult:
     peak_words: int
 
 
-def earliest_occurrence(walk: Walk, v: int) -> int | None:
-    """Smallest position where v occurs in the walk, or None."""
-    for q, u in enumerate(walk.vertices):
-        if u == v:
-            return q
-    return None
-
-
-def occurs_from(walk: Walk, start: int, v: int) -> bool:
-    """True iff v occurs at some position >= start."""
-    if not (0 <= start < len(walk)):
-        raise IndexError(f"start position {start} outside [0, {len(walk)})")
-    vs = walk.vertices
-    for q in range(start, len(vs)):
-        if vs[q] == v:
-            return True
-    return False
-
-
-def initial_frontier(w: WalkDecomposition, s: int) -> FrontierRegisters:
-    """Registers after initialization: earliest occurrence of s per walk."""
-    c = tuple(earliest_occurrence(walk, s) for walk in w)
-    return FrontierRegisters(c=c, d=(None,) * w.k)
-
-
-def advance_frontier(w: WalkDecomposition, regs: FrontierRegisters) -> FrontierRegisters:
-    """One frontier round: for every walk, the new register is the earliest
-    position whose vertex occurs at or after a current register position in
-    some walk (None if there is none).  Registers never move later and never
-    revert to None.
-    """
-    k = w.k
-    if len(regs.c) != k:
-        raise ValueError(f"register count {len(regs.c)} does not match k={k}")
-    for i, ci in enumerate(regs.c):
-        if ci is not None and not (0 <= ci < len(w[i])):
-            raise ValueError(f"register c[{i}]={ci} outside walk {i}")
-    c = [_ABSENT if ci is None else ci for ci in regs.c]
-    d = [_ABSENT] * k
-    _advance([walk.vertices for walk in w], w.occurrences, c, d)
-    out = tuple(None if x == _ABSENT else x for x in d)
-    return FrontierRegisters(c=out, d=out)
-
-
-def _advance(seqs, occ, c, d) -> bool:
+def _advance(paths, occ, c, d) -> bool:
     """Compute the next frontier from c into d; return whether it moved.
 
     occ[v] lists a (walk i, first, last) entry for each walk containing v,
@@ -129,8 +57,8 @@ def _advance(seqs, occ, c, d) -> bool:
     exceeds c[j].
     """
     changed = False
-    for j in range(len(seqs)):
-        vs = seqs[j]
+    for j in range(len(paths)):
+        vs = paths[j]
         new_cj = c[j]
         lim = new_cj if new_cj < len(vs) else len(vs)
         for q in range(lim):
@@ -146,6 +74,34 @@ def _advance(seqs, occ, c, d) -> bool:
     return changed
 
 
+def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
+    """The registers of each level, from level 0 on; _ABSENT marks a walk
+    with no position known.
+
+    Level 0 holds the first position of s in every walk and level 1 is
+    always yielded, even when it equals level 0; after that the generator
+    ends at the first round that moves no register.  Nothing is yielded
+    when s occurs in no walk.  A yielded list keeps its level only until
+    the generator is resumed twice; copy it to keep it longer.
+    """
+    occ = w.occurrences
+    source = occ.get(s)
+    if source is None:
+        return
+    paths = w._paths
+    c = [_ABSENT] * len(paths)
+    d = [_ABSENT] * len(paths)
+    for i, first, _ in source:
+        c[i] = first
+    yield c
+    _advance(paths, occ, c, d)
+    c, d = d, c
+    yield c
+    while _advance(paths, occ, c, d):
+        c, d = d, c
+        yield c
+
+
 def decide_reachability(
     w: WalkDecomposition, s: int, t: int, n: int | None = None
 ) -> ReachResult:
@@ -153,8 +109,10 @@ def decide_reachability(
 
     min_switches is the least number of switches between walks over all
     s-to-t routes (0 when s equals t or both lie in order on one walk);
-    iterations counts frontier rounds; peak_words is the meter reading,
-    at most 2k + 8 for every query.
+    iterations counts frontier rounds.  peak_words is the query's working
+    space in index-sized words, 2k + 8 for every query: the k registers c
+    of the current level, the k staging registers d of the next, and the
+    8 scalars of _QUERY_SCRATCH_WORDS.
 
     n, when given, is the vertex universe; it defaults to the implied
     union-graph size.  A source that occurs in no walk reaches only
@@ -169,39 +127,13 @@ def decide_reachability(
     if not (0 <= t < universe):
         raise ValueError(f"target {t} outside [0, {universe})")
 
-    k = w.k
-    meter = RegisterMeter()
-    meter.acquire(2 * k + _QUERY_SCRATCH_WORDS)
-    peak = meter.peak_words
-
+    peak_words = 2 * w.k + _QUERY_SCRATCH_WORDS
     if s == t:
-        return ReachResult(True, 0, 0, peak)
-
-    occ = w.occurrences
-    seqs = [walk.vertices for walk in w]
-
-    source = occ.get(s)
-    if source is None:
-        return ReachResult(False, None, 0, peak)
-    c = [_ABSENT] * k
-    for i, first, _ in source:
-        c[i] = first
-
-    target = occ.get(t, ())
-    for i, _, last in target:
-        if last >= c[i]:
-            return ReachResult(True, 0, 0, peak)
-
-    d = [_ABSENT] * k
-    _advance(seqs, occ, c, d)
-    c, d = d, c
-
-    iterations = 0
-    while True:
-        iterations += 1
+        return ReachResult(True, 0, 0, peak_words)
+    target = w.occurrences.get(t, ())
+    level = 0
+    for level, c in enumerate(_rounds(w, s)):
         for i, _, last in target:
             if last >= c[i]:
-                return ReachResult(True, iterations, iterations, peak)
-        if not _advance(seqs, occ, c, d):
-            return ReachResult(False, None, iterations, peak)
-        c, d = d, c
+                return ReachResult(True, level, level, peak_words)
+    return ReachResult(False, None, level, peak_words)

@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .decomposition import Walk, WalkDecomposition
-from .graph import Digraph, Edge
+from .graph import _MAX_VERTEX_COUNT, Digraph, Edge
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,13 @@ def gen_decomposed_instance(spec: InstanceSeed) -> WalkDecomposition:
 
 def gen_random_dag(n: int, p: float, seed: int) -> Digraph:
     """Random DAG: each pair (i, j) with i < j becomes an edge with
-    probability p, so the result is acyclic by construction."""
+    probability p, so the result is acyclic by construction.
+
+    Draws n(n-1)/2 random numbers, so n is checked against the graph-file
+    cap before the first draw: a larger graph could not be read back.
+    """
+    if n > _MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {n} exceeds the limit {_MAX_VERTEX_COUNT}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)

@@ -271,6 +271,14 @@ class TestGen:
         assert run(["gen", "dag", "--n", "3", "--p", "2.0", "--seed", "0"]) == 2
         capsys.readouterr()
 
+    def test_dag_above_graph_cap_rejected_before_drawing(self, capsys):
+        # gen_random_dag draws n(n-1)/2 numbers: ~8.8e12 here, so only a
+        # check made before the first draw lets this return at all.
+        assert run(["gen", "dag", "--n", "4194305", "--p", "0", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex count 4194305 exceeds the limit 4194304\n"
+
 
 class TestOracle:
     def test_decomp_mode_matches_reach(self, overlap_decomp, capsys):

@@ -18,7 +18,6 @@ from pathreach.decomposition import (
     validate_path_decomposition,
 )
 from pathreach.graph import Digraph, degrees, format_graph, parse_graph
-from pathreach.reach import RegisterMeter
 from pathreach.testkit import gen_random_dag
 
 DIAMOND = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -95,14 +94,6 @@ class TestTrace:
         g = Digraph(5, [(0, 1), (1, 2), (2, 1), (1, 3)])
         with pytest.raises(CyclicGraphError, match="revisits a vertex"):
             trace_path(g, assign_edge_indices(g), (0, 1))
-
-    def test_meter_constant_workspace(self):
-        meter = RegisterMeter()
-        for n in (10, 100, 400):
-            g = Digraph(n, [(i, i + 1) for i in range(n - 1)])
-            trace_path(g, assign_edge_indices(g), (0, 1), meter=meter)
-        assert meter.peak_words <= 8
-        assert meter.words == 0
 
 
 class TestMinimalDecomposition:

@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathreach.decomposition import Walk, WalkDecomposition, union_graph
-from pathreach.reach import (
-    FrontierRegisters,
-    RegisterMeter,
-    advance_frontier,
-    decide_reachability,
-    earliest_occurrence,
-    initial_frontier,
-    occurs_from,
-)
+from pathreach.decomposition import WalkDecomposition, union_graph
+from pathreach.reach import _ABSENT, _rounds, decide_reachability
 from pathreach.testkit import (
     InstanceSeed,
     gen_decomposed_instance,
@@ -38,56 +30,32 @@ def instances(max_n=14, max_k=6, max_len=10):
     )
 
 
-class TestScans:
-    def test_earliest_occurrence(self):
-        assert earliest_occurrence(Walk([10, 11, 12]), 11) == 1
-        assert earliest_occurrence(Walk([5, 6, 5]), 5) == 0
-        assert earliest_occurrence(Walk([1, 2, 3]), 9) is None
-
-    def test_occurs_from(self):
-        assert occurs_from(Walk([1, 2, 3]), 0, 3)
-        assert not occurs_from(Walk([1, 2, 3]), 2, 1)
-        assert occurs_from(Walk([1, 2, 1]), 1, 1)
-
-    def test_occurs_from_range(self):
-        with pytest.raises(IndexError):
-            occurs_from(Walk([1, 2]), 2, 1)
-        with pytest.raises(IndexError):
-            occurs_from(Walk([1, 2]), -1, 1)
+def levels(w, s):
+    """The register tuples _rounds yields, None where no position is known."""
+    return [tuple(None if x == _ABSENT else x for x in c) for c in _rounds(w, s)]
 
 
 class TestAdvanceFrontier:
     def test_bridging_walk_picks_up_shared_vertex(self):
         w = WalkDecomposition([[0, 1], [1, 2]])
-        out = advance_frontier(w, FrontierRegisters(c=(0, None), d=(None, None)))
-        assert out.c == (0, 0)
-        assert out.d == out.c
+        assert levels(w, 0) == [(0, None), (0, 0)]
 
     def test_single_walk_fixpoint(self):
+        # Level 1 is yielded even when the first round moves nothing.
         w = WalkDecomposition([[0, 1, 2]])
-        out = advance_frontier(w, FrontierRegisters(c=(0,), d=(None,)))
-        assert out.c == (0,)
+        assert levels(w, 0) == [(0,), (0,)]
 
     def test_disjoint_walk_stays_unset(self):
         w = WalkDecomposition([[0, 1], [2, 3]])
-        out = advance_frontier(w, FrontierRegisters(c=(0, None), d=(None, None)))
-        assert out.c == (0, None)
-
-    def test_register_count_mismatch(self):
-        w = WalkDecomposition([[0, 1]])
-        with pytest.raises(ValueError):
-            advance_frontier(w, FrontierRegisters(c=(0, 1), d=(None, None)))
-
-    def test_register_out_of_walk(self):
-        w = WalkDecomposition([[0, 1]])
-        with pytest.raises(ValueError):
-            advance_frontier(w, FrontierRegisters(c=(5,), d=(None,)))
+        assert levels(w, 0) == [(0, None), (0, None)]
 
     def test_initial_frontier(self):
         w = WalkDecomposition([[3, 4], [4, 3, 4]])
-        regs = initial_frontier(w, 4)
-        assert regs.c == (1, 0)
-        assert regs.d == (None, None)
+        assert levels(w, 4)[0] == (1, 0)
+
+    def test_absent_source_yields_no_level(self):
+        w = WalkDecomposition([[0, 1]])
+        assert levels(w, 2) == []
 
 
 class TestDecide:
@@ -160,15 +128,6 @@ class TestDecide:
 
 
 class TestMeter:
-    def test_acquire_release_peak(self):
-        meter = RegisterMeter()
-        meter.acquire(5)
-        meter.acquire(3)
-        meter.release(4)
-        meter.acquire(2)
-        assert meter.words == 6
-        assert meter.peak_words == 8
-
     def test_peak_is_register_budget(self):
         for k in (0, 1, 4, 16):
             w = WalkDecomposition([[2 * i, 2 * i + 1] for i in range(k)])
@@ -214,56 +173,60 @@ def test_matches_oracles(w, data):
 
 
 def _reference_advance(w, c):
-    # restatement of the update rule on top of the public scan primitives
-    out = []
-    for walk in w:
-        best = None
-        for q in range(len(walk)):
-            v = walk[q]
-            if any(ci is not None and occurs_from(w[i], ci, v)
-                   for i, ci in enumerate(c)):
-                best = q
-                break
-        out.append(best)
-    return tuple(out)
+    # The update rule restated on plain slices: the new register of a walk
+    # is its first position whose vertex occurs at or after some current
+    # register.
+    return tuple(
+        next((q for q, v in enumerate(walk.vertices)
+              if any(ci is not None and v in w[i].vertices[ci:] for i, ci in enumerate(c))),
+             None)
+        for walk in w)
 
 
 @given(instances(max_n=10, max_k=4, max_len=8), st.data())
 @settings(max_examples=80, deadline=None)
 def test_advance_matches_scan_reference(w, data):
+    # Level 0 holds the first occurrences of s, each later level is one
+    # reference round from the level before, and the last level is a
+    # fixpoint of the reference round.
     if w.k == 0:
         return
     n = w.implied_vertex_count
     s = data.draw(st.integers(min_value=0, max_value=n - 1))
-    regs = initial_frontier(w, s)
-    for _ in range(n + 2):
-        advanced = advance_frontier(w, regs)
-        assert advanced.c == _reference_advance(w, regs.c)
-        regs = advanced
+    regs = levels(w, s)
+    if all(s not in walk.vertices for walk in w):
+        assert regs == []
+        return
+    assert regs[0] == tuple(walk.vertices.index(s) if s in walk.vertices else None
+                            for walk in w)
+    for old, new in zip(regs, regs[1:]):
+        assert new == _reference_advance(w, old)
+    assert _reference_advance(w, regs[-1]) == regs[-1]
 
 
 @given(instances(max_n=10, max_k=4, max_len=8), st.data())
 @settings(max_examples=80, deadline=None)
 def test_frontier_tracks_switch_level(w, data):
-    # After initialization plus l+1 advances, register i must hold the
-    # earliest position in walk i whose vertex is reachable from s within
-    # l switches (None when no such vertex exists).
+    # At level l + 1, register i must hold the earliest position in walk i
+    # whose vertex is reachable from s within l switches (None when no
+    # such vertex exists).  The last level yielded stands for every level
+    # after it.
     if w.k == 0:
         return
     n = w.implied_vertex_count
     s = data.draw(st.integers(min_value=0, max_value=n - 1))
     costs = switch_costs(w, s, n=n)
-    regs = advance_frontier(w, initial_frontier(w, s))
+    regs = levels(w, s) or [(None,) * w.k]
     for level in range(n + 1):
+        at = regs[min(level + 1, len(regs) - 1)]
         for i, walk in enumerate(w):
             expected = None
             for q, v in enumerate(walk.vertices):
                 if costs[v] is not None and costs[v] <= level:
                     expected = q
                     break
-            assert regs.c[i] == expected, (
-                f"walk {i} level {level}: register {regs.c[i]} expected {expected}")
-        regs = advance_frontier(w, regs)
+            assert at[i] == expected, (
+                f"walk {i} level {level}: register {at[i]} expected {expected}")
 
 
 @given(instances())
@@ -271,13 +234,12 @@ def test_frontier_tracks_switch_level(w, data):
 def test_frontier_monotone_under_advance(w):
     if w.k == 0 or w.implied_vertex_count == 0:
         return
-    regs = initial_frontier(w, w[0][0])
-    for _ in range(w.implied_vertex_count + 2):
-        nxt = advance_frontier(w, regs)
-        for old, new in zip(regs.c, nxt.c):
+    regs = levels(w, w[0][0])
+    assert regs
+    for old_level, new_level in zip(regs, regs[1:]):
+        for old, new in zip(old_level, new_level):
             if old is not None:
                 assert new is not None and new <= old
-        regs = FrontierRegisters(c=nxt.c, d=regs.c)
 
 
 @given(instances(), st.data())
