@@ -3,9 +3,10 @@
 Given a directed graph together with a family of k walks covering its
 edges, reachability queries (decide_reachability) run with 2k index
 registers plus eight scalars of working state, and report the minimum
-number of switches between walks along the way.  For acyclic graphs the package
-also computes a provably minimal edge-disjoint path cover by numbering
-each vertex's incident edges and following the numbers.
+number of switches between walks along the way.  For acyclic graphs the
+package also computes a provably minimal edge-disjoint path cover by
+numbering each vertex's incident edges and following the numbers.  The
+public API is the names below, each documented in README.md.
 """
 
 from .dagcover import (

@@ -102,11 +102,11 @@ def minimal_path_decomposition(g: Digraph) -> WalkDecomposition:
             path = [v, x]
             u, y = v, x
             z = continuations[y].get(u)
-            # On an acyclic graph every trace ends, as a simple path of
-            # int ids, so it passes every check of Walk.__init__.
             while z is not None:
                 path.append(z)
                 u, y = y, z
                 z = continuations[y].get(u)
             paths.append(tuple(path))
+    # g is acyclic, so every trace ends without a length guard, as a simple
+    # path of int ids that passes every check of Walk.__init__.
     return WalkDecomposition._checked(paths)

@@ -78,10 +78,11 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     """The registers of each level, from level 0 on; _ABSENT marks a walk
     with no position known.
 
-    Level 0 holds the first position of s in every walk and level 1 is
-    always yielded, even when it equals level 0; after that the generator
-    ends at the first round that moves no register.  Nothing is yielded
-    when s occurs in no walk.  A yielded list keeps its level only until
+    Level 0 holds the first position of s in every walk.  Level 1 is
+    always yielded, even when it equals level 0, so a query whose source
+    occurs counts at least one round; after that the generator ends at
+    the first round that moves no register.  Nothing is yielded when s
+    occurs in no walk.  A yielded list keeps its level only until
     the generator is resumed twice; copy it to keep it longer.
     """
     occ = w.occurrences
