@@ -206,7 +206,8 @@ def _cmd_bench(args) -> int:
     else:
         if n < 1:
             raise _InputError("instance has no vertices to query")
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(args.pairs)]
+        # Drawn one pair at a time, so --pairs does not size any list.
+        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(args.pairs))
     print("n,k,total_len,query,reachable,switches,iterations,peak_words,nanos")
     for s, t in pairs:
         try:

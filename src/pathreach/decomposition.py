@@ -19,7 +19,7 @@ from itertools import chain, repeat
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import Digraph, Edge, _step_keys
+from .graph import Digraph, Edge, _key_ends, _step_keys
 
 
 class DecompositionFormatError(ValueError):
@@ -261,14 +261,20 @@ def path_number_lower_bound(g: Digraph) -> int:
 
     No path decomposition of g can use fewer paths than this.
     """
-    # A vertex without an edge adds 0, so only the ones with an edge are visited.
-    succ, pred = g._adjacency()
-    return sum(max(0, len(succs) - len(pred[v])) for v, succs in succ.items())
+    # Degrees are counted from the edge keys, without building adjacency; a
+    # vertex without an out-edge adds 0, so only the tails are visited.
+    tails, heads = _key_ends(g.n, g._keys)
+    outdeg, indeg = Counter(tails), Counter(heads)
+    return sum(max(0, d - indeg[v]) for v, d in outdeg.items())
 
 
 # The form format_decomposition writes: one line per walk, ASCII digits and
-# single spaces only, each line ending in a newline.
-_CANONICAL = re.compile(r"(?:[0-9]+(?: [0-9]+)*\n)*")
+# single spaces only, each line ending in a newline.  Both repetitions are
+# possessive: an id the inner one would give back begins with a space, which
+# the line's newline cannot match, and a line the outer one would give back
+# is text the end of the match cannot consume.  So the same texts match, and
+# the match keeps no per-line backtracking state.
+_CANONICAL = re.compile(r"(?:[0-9]+(?: [0-9]+)*+\n)*+")
 
 
 def parse_decomposition(text: str) -> WalkDecomposition:

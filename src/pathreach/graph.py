@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from itertools import repeat
 from operator import add, eq, floordiv, lt, mod, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 Edge = tuple[int, int]
 
@@ -139,6 +139,12 @@ def _step_keys(n: int, walks: Iterable[tuple[int, ...]]) -> list[int]:
     return [u * n + v for vs in walks for u, v in zip(vs, vs[1:])]
 
 
+def _key_ends(n: int, keys: tuple[int, ...]) -> tuple[Iterator[int], Iterator[int]]:
+    """The tails u and the heads v of the edges with keys u * n + v, in key
+    order."""
+    return map(floordiv, keys, repeat(n)), map(mod, keys, repeat(n))
+
+
 def _build_adjacency(n: int, keys: tuple[int, ...]) -> tuple[_Adjacency, _Adjacency]:
     """Sorted successors and predecessors of every vertex with an edge.
 
@@ -149,7 +155,7 @@ def _build_adjacency(n: int, keys: tuple[int, ...]) -> tuple[_Adjacency, _Adjace
     """
     out: defaultdict[int, list[int]] = defaultdict(list)
     inc: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in zip(map(floordiv, keys, repeat(n)), map(mod, keys, repeat(n))):
+    for u, v in zip(*_key_ends(n, keys)):
         out[u].append(v)
         inc[v].append(u)
     succ: _Adjacency = {}
@@ -195,7 +201,11 @@ def is_acyclic(g: Digraph) -> bool:
 
 # The form format_graph writes: the header, then one "e u v" line per
 # edge, ASCII digits and single spaces only, with or without a final newline.
-_CANONICAL = re.compile(r"n ([0-9]+)((?:\ne [0-9]+ [0-9]+)*)\n?")
+# The repetition is possessive: an edge line it would give back begins with
+# "\ne", of which the optional final newline can consume only the "\n", so
+# the same texts match with the same groups, and the match keeps no
+# per-line backtracking state.
+_CANONICAL = re.compile(r"n ([0-9]+)((?:\ne [0-9]+ [0-9]+)*+)\n?")
 
 
 def parse_graph(text: str) -> Digraph:

@@ -1,22 +1,27 @@
 import contextlib
 import io
 import os
+import random
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pathreach
+from pathreach import cli
 from pathreach.cli import run
 from pathreach.decomposition import parse_decomposition
 from pathreach.graph import format_graph, parse_graph
+from pathreach.reach import decide_reachability
 from pathreach.testkit import gen_random_dag
 
 OVERLAP_FILE = "1 6 7 2 3 4 5 10 9 8\n1 2 3 4 9 3 8\n"
@@ -327,6 +332,34 @@ class TestBench:
         out = capsys.readouterr().out.splitlines()
         assert code == 0 and len(out) == 5
 
+    def test_random_pairs_follow_the_seeded_draw(self, capsys):
+        assert run(["bench", "--chain", "12,3", "--pairs", "6", "--seed", "7"]) == 0
+        queries = [row.split(",")[3] for row in capsys.readouterr().out.splitlines()[1:]]
+        rng = random.Random(7)
+        assert queries == [f"{rng.randrange(12)}->{rng.randrange(12)}" for _ in range(6)]
+
+    def test_pairs_are_drawn_one_query_at_a_time(self, monkeypatch, capsys):
+        # --pairs must not size a list drawn up front: the first query runs
+        # after two draws, not 2N.
+        draws = []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        draws_at_query = []
+
+        def query(*args, **kwargs):
+            draws_at_query.append(len(draws))
+            return decide_reachability(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "random", SimpleNamespace(Random=CountingRandom))
+        monkeypatch.setattr(cli, "decide_reachability", query)
+        assert run(["bench", "--chain", "12,3", "--pairs", "1000"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1001
+        assert draws_at_query[:3] == [2, 4, 6] and len(draws) == 2000
+
 
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
@@ -395,6 +428,58 @@ class TestPlumbing:
         proc = subprocess.run(pipe, shell=True, env=_cli_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+def _interpreters_on_path():
+    """Each `python3.N` on PATH, N >= 11, that starts and reports 3.11 or later."""
+    found = []
+    for minor in range(11, 30):
+        exe = shutil.which(f"python3.{minor}")
+        if exe is None:
+            continue
+        try:
+            probe = subprocess.run(
+                [exe, "-c", "import sys; sys.exit(sys.version_info < (3, 11))"],
+                capture_output=True, timeout=30)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0:
+            found.append(exe)
+    return found
+
+
+def _readme_pipeline(python, tmp):
+    """Exit code and stdout of each step of README's pipeline under `python`."""
+    tmp.mkdir()
+    graph, cover = tmp / "dag.g", tmp / "cover.walks"
+    steps = [
+        (["gen", "dag", "--n", "30", "--p", "0.3", "--seed", "7"], graph),
+        (["decompose", "--graph", str(graph)], cover),
+        (["validate", "--graph", str(graph), "--decomp", str(cover), "--paths"], None),
+        (["reach", "--decomp", str(cover), "--graph", str(graph),
+          "--from", "0", "--to", "29"], None),
+        (["pathnum-lb", "--graph", str(graph)], None),
+    ]
+    results = []
+    for args, output in steps:
+        proc = subprocess.run([python, "-m", "pathreach", *args], env=_cli_env(),
+                              capture_output=True, timeout=60)
+        results.append((args[0], proc.returncode, proc.stdout))
+        if output is not None:
+            output.write_bytes(proc.stdout)
+    return results
+
+
+def test_readme_pipeline_is_byte_identical_across_interpreters(tmp_path):
+    # The code is stdlib-only and requires Python 3.11 (possessive regex
+    # quantifiers); every 3.11+ interpreter found must give the same bytes.
+    interpreters = _interpreters_on_path()
+    if not interpreters:
+        pytest.skip("no python3.N (N >= 11) on PATH starts here")
+    expected = _readme_pipeline(sys.executable, tmp_path / "self")
+    assert [code for _, code, _ in expected] == [0, 0, 0, 0, 0]
+    for python in interpreters:
+        assert _readme_pipeline(python, tmp_path / Path(python).name) == expected, python
 
 
 # Documented stdout line formats, per command.

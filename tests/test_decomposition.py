@@ -159,6 +159,26 @@ class TestLowerBound:
         assert path_number_lower_bound(g) == 4
 
 
+@st.composite
+def _graphs_with_degree_extremes(draw):
+    """A random graph on n core vertices, plus a pure source and a pure sink
+    joined through a drawn fan of core vertices, plus isolated vertices."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20))
+    fan = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    source, sink = n, n + 1
+    edges += [(source, v) for v in fan] + [(v, sink) for v in fan]
+    return Digraph(n + 2 + isolated, edges)
+
+
+@given(_graphs_with_degree_extremes())
+def test_lower_bound_matches_degree_sum(g):
+    assert path_number_lower_bound(g) == sum(
+        max(0, len(g.successors(v)) - len(g.predecessors(v))) for v in range(g.n))
+
+
 class TestFileFormat:
     def test_parse(self):
         w = parse_decomposition("# two walks\n0 1 2\n\n3 0\n")
