@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: validate, reach, min-switches, decompose, pathnum-lb, gen,
-oracle, bench.  Results go to stdout, diagnostics to stderr.  Exit codes:
-0 affirmative/success, 1 negative answer (unreachable, invalid), 2 usage
-or input error.  File arguments accept '-' for stdin.
+Subcommands: validate, reach, min-switches, decompose, pathnum-lb, gen
+(walks, chain, dag), oracle, bench.  `gen` is the only source of generated
+instances: `bench` times queries on a decomposition file, so
+`gen chain ... | bench --decomp -` benchmarks a generated one.  Results go
+to stdout, diagnostics to stderr.  Exit codes: 0 affirmative/success, 1
+negative answer (unreachable, invalid), 2 usage or input error; a
+ValueError a library call raises for an argument out of its range is an
+input error.  File arguments accept '-' for stdin.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import time
 from enum import IntEnum
 from typing import NoReturn, Sequence
 
-from .dagcover import CyclicGraphError, minimal_path_decomposition
+from .dagcover import minimal_path_decomposition
 from .decomposition import (
     DecompositionFormatError,
     WalkDecomposition,
@@ -76,6 +80,15 @@ def _load_decomposition(path: str) -> WalkDecomposition:
         raise _InputError(f"{path}: {exc}") from None
 
 
+def _call(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a ValueError the library raises for an
+    argument out of its range reported as an input error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
+
+
 def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
     """Load the decomposition and, when a graph is given, validate coverage
     against it first and use its vertex count as the universe."""
@@ -109,10 +122,7 @@ def _cmd_validate(args) -> int:
 def _cmd_reach(args) -> int:
     """reach and min-switches: one query, formatted by command."""
     w, n = _checked_universe(args)
-    try:
-        res = decide_reachability(w, args.src, args.dst, n=n)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
+    res = _call(decide_reachability, w, args.src, args.dst, n=n)
     if args.command == "min-switches":
         print(res.min_switches if res.reachable else "UNREACHABLE")
     elif res.reachable:
@@ -124,11 +134,8 @@ def _cmd_reach(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    g = _load_graph(args.graph)
-    try:
-        cover = minimal_path_decomposition(g)
-    except CyclicGraphError:
-        raise _InputError("graph is not acyclic") from None
+    # A cyclic graph raises CyclicGraphError, whose message is the diagnostic.
+    cover = _call(minimal_path_decomposition, _load_graph(args.graph))
     sys.stdout.write(format_decomposition(cover))
     return ExitStatus.OK
 
@@ -141,64 +148,32 @@ def _cmd_pathnum_lb(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "walks":
-        try:
-            spec = InstanceSeed(n=args.n, k=args.k, max_len=args.max_len, seed=args.seed)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
+        spec = _call(InstanceSeed, n=args.n, k=args.k, max_len=args.max_len, seed=args.seed)
         sys.stdout.write(format_decomposition(gen_decomposed_instance(spec)))
+    elif args.kind == "chain":
+        sys.stdout.write(format_decomposition(_call(switch_chain, args.n, args.k)))
     else:
-        try:
-            g = gen_random_dag(args.n, args.p, args.seed)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
-        sys.stdout.write(format_graph(g))
+        sys.stdout.write(format_graph(_call(gen_random_dag, args.n, args.p, args.seed)))
     return ExitStatus.OK
 
 
 def _cmd_oracle(args) -> int:
     if args.decomp is not None:
         w, n = _checked_universe(args)
-        try:
-            count = oracle_min_switches(w, args.src, args.dst, n=n)
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
-        if count is not None:
-            print(f"REACHABLE switches={count}")
-            return ExitStatus.OK
-        print("UNREACHABLE")
-        return ExitStatus.NEGATIVE
-    g = _load_graph(args.graph)
-    try:
-        hit = oracle_reachable(g, args.src, args.dst)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    if hit:
-        print("REACHABLE")
-        return ExitStatus.OK
-    print("UNREACHABLE")
-    return ExitStatus.NEGATIVE
-
-
-def _bench_instance(args) -> tuple[WalkDecomposition, int]:
-    if args.decomp is not None:
-        w = _load_decomposition(args.decomp)
-        return w, w.implied_vertex_count
-    if args.chain is not None:
-        n, k = args.chain
-        try:
-            return switch_chain(n, k), n
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
-    n, k, max_len, seed = args.gen
-    try:
-        spec = InstanceSeed(n=n, k=k, max_len=max_len, seed=seed)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-    return gen_decomposed_instance(spec), n
+        count = _call(oracle_min_switches, w, args.src, args.dst, n=n)
+        reachable = count is not None
+        print(f"REACHABLE switches={count}" if reachable else "UNREACHABLE")
+    elif args.graph is not None:
+        reachable = _call(oracle_reachable, _load_graph(args.graph), args.src, args.dst)
+        print("REACHABLE" if reachable else "UNREACHABLE")
+    else:
+        raise _InputError("oracle needs --decomp or --graph")
+    return ExitStatus.OK if reachable else ExitStatus.NEGATIVE
 
 
 def _cmd_bench(args) -> int:
-    w, n = _bench_instance(args)
+    w = _load_decomposition(args.decomp)
+    n = w.implied_vertex_count
     total_len = sum(len(walk) for walk in w)
     rng = random.Random(args.seed)
     if args.query:
@@ -210,7 +185,7 @@ def _cmd_bench(args) -> int:
         pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(args.pairs))
     print("n,k,total_len,query,reachable,switches,iterations,peak_words,nanos")
     for s, t in pairs:
-        try:
+        try:  # not _call: its frame would fall inside the timed span
             start = time.perf_counter_ns()
             res = decide_reachability(w, s, t, n=n)
             elapsed = time.perf_counter_ns() - start
@@ -227,13 +202,6 @@ def _pair(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated integers")
     return int(parts[0]), int(parts[1])
-
-
-def _quad(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,6 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--k", type=int, required=True)
     pw.add_argument("--max-len", type=int, required=True)
     pw.add_argument("--seed", type=int, required=True)
+    pc = gen_sub.add_parser("chain", help="worst-case chain decomposition")
+    pc.add_argument("--n", type=int, required=True)
+    pc.add_argument("--k", type=int, required=True)
     pd = gen_sub.add_parser("dag", help="random DAG")
     pd.add_argument("--n", type=int, required=True)
     pd.add_argument("--p", type=float, required=True)
@@ -299,12 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="time queries, emit CSV")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--decomp")
-    src.add_argument("--chain", type=_pair, metavar="N,K",
-                     help="worst-case chain instance")
-    src.add_argument("--gen", type=_quad, metavar="N,K,MAXLEN,SEED",
-                     help="generated instance")
+    p.add_argument("--decomp", required=True)
     p.add_argument("--pairs", type=int, default=10, help="random query count")
     p.add_argument("--query", type=_pair, action="append", metavar="S,T",
                    help="explicit query; repeatable, overrides --pairs")
@@ -321,9 +287,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return ExitStatus.OK if exc.code in (0, None) else ExitStatus.USAGE
-    if args.command == "oracle" and args.decomp is None and args.graph is None:
-        print("error: oracle needs --decomp or --graph", file=sys.stderr)
-        return ExitStatus.USAGE
     try:
         return args.func(args)
     except _InputError as exc:

@@ -223,15 +223,16 @@ def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationR
                 ViolationKind.NOT_SIMPLE, f"walk {i} repeats a vertex: {list(vs)}"))
     steps = [step for vs in p._paths for step in zip(vs, vs[1:])]
     used = set(steps)
-    for e in sorted(used - g.edges):
+    edges = g.edges
+    for e in sorted(used - edges):
         violations.append(Violation(
             ViolationKind.EDGE_NOT_IN_GRAPH, f"step {e} is not an edge of the graph"))
     if len(used) < len(steps):
         usage = Counter(steps)
-        for e in sorted(e for e, c in usage.items() if c > 1 and e in g.edges):
+        for e in sorted(e for e, c in usage.items() if c > 1 and e in edges):
             violations.append(Violation(
                 ViolationKind.EDGE_REPEATED, f"edge {e} is used {usage[e]} times"))
-    for e in sorted(g.edges - used):
+    for e in sorted(edges - used):
         violations.append(Violation(
             ViolationKind.EDGE_UNCOVERED, f"edge {e} lies on no path"))
     return ValidationReport.from_violations(violations)
@@ -247,10 +248,11 @@ def validate_walk_decomposition(g: Digraph, w: WalkDecomposition) -> ValidationR
     # Some step is not an edge or some edge is missed: name each, on (u, v) pairs.
     violations: list[Violation] = []
     used = {step for vs in w._paths for step in zip(vs, vs[1:])}
-    for e in sorted(used - g.edges):
+    edges = g.edges
+    for e in sorted(used - edges):
         violations.append(Violation(
             ViolationKind.EDGE_NOT_IN_GRAPH, f"step {e} is not an edge of the graph"))
-    for e in sorted(g.edges - used):
+    for e in sorted(edges - used):
         violations.append(Violation(
             ViolationKind.EDGE_UNCOVERED, f"edge {e} lies on no walk"))
     return ValidationReport.from_violations(violations)

@@ -42,7 +42,7 @@ class DegreePair(NamedTuple):
 class Digraph:
     """Simple directed graph on vertices 0..n-1, immutable after construction."""
 
-    __slots__ = ("_n", "_keys", "_edges", "_adj")
+    __slots__ = ("_n", "_keys", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -68,7 +68,6 @@ class Digraph:
     def _init(self, n: int, keys: tuple[int, ...]) -> None:
         self._n = n
         self._keys = keys
-        self._edges: frozenset[Edge] | None = None
         self._adj: tuple[_Adjacency, _Adjacency] | None = None
 
     def _adjacency(self) -> tuple[_Adjacency, _Adjacency]:
@@ -84,10 +83,8 @@ class Digraph:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        """The edges as (u, v) pairs, built on first use."""
-        if self._edges is None:
-            self._edges = frozenset(map(divmod, self._keys, repeat(self._n)))
-        return self._edges
+        """The edges as (u, v) pairs, built on each call."""
+        return frozenset(map(divmod, self._keys, repeat(self._n)))
 
     @property
     def edge_count(self) -> int:

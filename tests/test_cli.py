@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import io
 import os
 import random
 import re
 import resource
+import shlex
 import shutil
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from pathreach.cli import run
 from pathreach.decomposition import parse_decomposition
 from pathreach.graph import format_graph, parse_graph
 from pathreach.reach import decide_reachability
-from pathreach.testkit import gen_random_dag
+from pathreach.testkit import gen_random_dag, switch_chain
 
 OVERLAP_FILE = "1 6 7 2 3 4 5 10 9 8\n1 2 3 4 9 3 8\n"
 
@@ -264,6 +266,10 @@ class TestGen:
         w = parse_decomposition(first)
         assert w.k == 3 and w.max_vertex < 9
 
+    def test_chain_roundtrip(self, capsys):
+        assert run(["gen", "chain", "--n", "12", "--k", "3"]) == 0
+        assert parse_decomposition(capsys.readouterr().out) == switch_chain(12, 3)
+
     def test_dag_roundtrip(self, capsys):
         run(["gen", "dag", "--n", "7", "--p", "0.5", "--seed", "11"])
         out = capsys.readouterr().out
@@ -305,6 +311,14 @@ class TestOracle:
         capsys.readouterr()
 
 
+def _gen_file(tmp_path, kind_args, capsys):
+    """Path of a file holding the stdout of `gen KIND_ARGS`."""
+    assert run(["gen", *kind_args]) == 0
+    path = tmp_path / f"{kind_args[0]}.walks"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
 class TestBench:
     def test_csv_schema(self, overlap_decomp, capsys):
         code = run(["bench", "--decomp", overlap_decomp, "--pairs", "5", "--seed", "1"])
@@ -320,27 +334,47 @@ class TestBench:
             assert switches == "" or int(switches) >= 0
             assert int(nanos) >= 0
 
-    def test_explicit_queries_and_chain(self, capsys):
-        code = run(["bench", "--chain", "12,3", "--query", "0,11", "--query", "11,0"])
+    def test_explicit_queries_and_chain(self, tmp_path, capsys):
+        chain = _gen_file(tmp_path, ["chain", "--n", "12", "--k", "3"], capsys)
+        code = run(["bench", "--decomp", chain, "--query", "0,11", "--query", "11,0"])
         out = capsys.readouterr().out.splitlines()
         assert code == 0 and len(out) == 3
         first = out[1].split(",")
         assert first[3] == "0->11" and first[4] == "1" and first[5] == "10"
 
-    def test_gen_source(self, capsys):
-        code = run(["bench", "--gen", "10,3,8,2", "--pairs", "4"])
-        out = capsys.readouterr().out.splitlines()
-        assert code == 0 and len(out) == 5
+    def test_gen_source(self, tmp_path, monkeypatch, capsys):
+        # The same gen walks output from a file and from stdin; n is the
+        # decomposition's implied vertex count.
+        walks = _gen_file(tmp_path, ["walks", "--n", "10", "--k", "3", "--max-len", "8",
+                                     "--seed", "2"], capsys)
+        text = Path(walks).read_text()
+        assert run(["bench", "--decomp", walks, "--pairs", "4"]) == 0
+        from_file = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert run(["bench", "--decomp", "-", "--pairs", "4"]) == 0
+        from_stdin = capsys.readouterr().out.splitlines()
+        assert len(from_file) == 5
+        n = parse_decomposition(text).implied_vertex_count
+        assert all(row.split(",")[0] == str(n) for row in from_file[1:])
+        assert ([row.rsplit(",", 1)[0] for row in from_stdin]
+                == [row.rsplit(",", 1)[0] for row in from_file])
 
-    def test_random_pairs_follow_the_seeded_draw(self, capsys):
-        assert run(["bench", "--chain", "12,3", "--pairs", "6", "--seed", "7"]) == 0
-        queries = [row.split(",")[3] for row in capsys.readouterr().out.splitlines()[1:]]
+    def test_random_pairs_follow_the_seeded_draw(self):
+        # README's pipe: gen chain output read by bench from stdin.
+        python = f"{sys.executable} -m pathreach"
+        pipe = (f"{python} gen chain --n 12 --k 3 | "
+                f"{python} bench --decomp - --pairs 6 --seed 7")
+        proc = subprocess.run(pipe, shell=True, env=_cli_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        queries = [row.split(",")[3] for row in proc.stdout.splitlines()[1:]]
         rng = random.Random(7)
         assert queries == [f"{rng.randrange(12)}->{rng.randrange(12)}" for _ in range(6)]
 
-    def test_pairs_are_drawn_one_query_at_a_time(self, monkeypatch, capsys):
+    def test_pairs_are_drawn_one_query_at_a_time(self, tmp_path, monkeypatch, capsys):
         # --pairs must not size a list drawn up front: the first query runs
         # after two draws, not 2N.
+        chain = _gen_file(tmp_path, ["chain", "--n", "12", "--k", "3"], capsys)
         draws = []
 
         class CountingRandom(random.Random):
@@ -356,7 +390,7 @@ class TestBench:
 
         monkeypatch.setattr(cli, "random", SimpleNamespace(Random=CountingRandom))
         monkeypatch.setattr(cli, "decide_reachability", query)
-        assert run(["bench", "--chain", "12,3", "--pairs", "1000"]) == 0
+        assert run(["bench", "--decomp", chain, "--pairs", "1000"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1001
         assert draws_at_query[:3] == [2, 4, 6] and len(draws) == 2000
 
@@ -430,6 +464,86 @@ class TestPlumbing:
         assert proc.stdout.strip() == "ok"
 
 
+# A ValueError a library call raises for an out-of-range argument: the
+# command exits 2 with exactly this stderr line.  Paths are relative to a
+# directory holding DIAGNOSTIC_FILES.
+DIAGNOSTIC_FILES = {
+    "d.walks": OVERLAP_FILE,      # implied vertex count 11
+    "g.g": "n 4\ne 0 1\ne 0 2\ne 1 3\ne 2 3\n",
+    "cyc.g": "n 2\ne 0 1\ne 1 0\n",
+    "small.g": "n 2\ne 0 1\n",
+    "wide.walks": "0 1\n5\n",    # covers small.g, implied vertex count 6
+}
+DIAGNOSTICS = [
+    ("reach --decomp d.walks --from 99 --to 0", "source 99 outside [0, 11)"),
+    ("reach --decomp d.walks --from 0 --to 11", "target 11 outside [0, 11)"),
+    ("reach --decomp wide.walks --graph small.g --from 0 --to 1",
+     "universe 2 smaller than implied vertex count 6"),
+    ("min-switches --decomp d.walks --from -1 --to 0", "source -1 outside [0, 11)"),
+    ("min-switches --decomp d.walks --from 0 --to 99", "target 99 outside [0, 11)"),
+    ("min-switches --decomp wide.walks --graph small.g --from 0 --to 1",
+     "universe 2 smaller than implied vertex count 6"),
+    ("gen walks --n 0 --k 1 --max-len 1 --seed 0", "n must be at least 1"),
+    ("gen walks --n 3 --k -1 --max-len 1 --seed 0", "k must be nonnegative"),
+    ("gen walks --n 3 --k 1 --max-len 0 --seed 0", "max_len must be at least 1"),
+    ("gen dag --n 3 --p 2.0 --seed 0", "edge probability 2.0 outside [0, 1]"),
+    ("gen dag --n 4194305 --p 0 --seed 1", "vertex count 4194305 exceeds the limit 4194304"),
+    ("gen chain --n 1 --k 1", "need at least 2 vertices"),
+    ("gen chain --n 5 --k 5", "k must be in [1, 4]"),
+    ("oracle --graph g.g --from 4 --to 0", "vertex 4 outside [0, 4)"),
+    ("oracle --graph g.g --from 0 --to 4", "vertex 4 outside [0, 4)"),
+    ("oracle --decomp d.walks --from 99 --to 0", "source 99 outside [0, 11)"),
+    ("oracle --decomp d.walks --from 0 --to 11", "target 11 outside [0, 11)"),
+    ("oracle --decomp wide.walks --graph small.g --from 0 --to 1",
+     "universe 2 smaller than implied vertex count 6"),
+    ("oracle --from 0 --to 1", "oracle needs --decomp or --graph"),
+    ("bench --decomp d.walks --query 99,0", "source 99 outside [0, 11)"),
+    ("bench --decomp d.walks --query 0,11", "target 11 outside [0, 11)"),
+    ("decompose --graph cyc.g", "graph is not acyclic"),
+]
+
+
+@pytest.mark.parametrize("command, message", DIAGNOSTICS)
+def test_input_error_diagnostic(command, message, tmp_path, monkeypatch, capsys):
+    for name, text in DIAGNOSTIC_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(command.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _readme_cli_commands():
+    """The `pathreach ...` commands of README's CLI synopsis block, as argv
+    lists: bracketed options count as given, `a|b` takes `a`, and a shell
+    pipe ` | ` separates commands."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        for command in line.split(" | "):
+            words = shlex.split(command.replace("[", "").replace("]", ""), comments=True)
+            if words[:1] == ["pathreach"]:
+                commands.append([word.split("|")[0] for word in words[1:]])
+    return commands
+
+
+def _subcommand_choices(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_readme_synopsis_parses():
+    parser = cli._build_parser()
+    commands = _readme_cli_commands()
+    for argv in commands:
+        parser.parse_args(argv)  # a usage error exits 2 and fails the test
+    choices = _subcommand_choices(parser)
+    assert {argv[0] for argv in commands} == set(choices)
+    gen_kinds = set(_subcommand_choices(choices["gen"]))
+    assert {argv[1] for argv in commands if argv[0] == "gen"} == gen_kinds
+
+
 def _interpreters_on_path():
     """Each `python3.N` on PATH, N >= 11, that starts and reports 3.11 or later."""
     found = []
@@ -494,6 +608,7 @@ STDOUT_LINE = {
     "bench": r"n,k,total_len,query,reachable,switches,iterations,peak_words,nanos"
              r"|\d+,\d+,\d+,\d+->\d+,[01],\d*,\d+,\d+,\d+",
     "gen walks": WALK_LINE,
+    "gen chain": WALK_LINE,
     "gen dag": r"n \d+|e \d+ \d+",
 }
 
@@ -548,6 +663,7 @@ def _command_lines(draw, graph, decomp):
             [["--pairs", "2", "--seed", "1"], [f"--query={ends[1]},{ends[3]}"]]))],
         ["gen", "walks", "--n", draw(small), "--k", draw(small), "--max-len", draw(small),
          "--seed", draw(small)],
+        ["gen", "chain", "--n", draw(small), "--k", draw(small)],
         ["gen", "dag", "--n", draw(small), "--p", str(draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]))),
          "--seed", draw(small)],
         # Shapes argparse itself may reject: "-2,3" reads as an option, and
