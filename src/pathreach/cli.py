@@ -5,9 +5,8 @@ Subcommands: validate, reach, min-switches, decompose, pathnum-lb, gen
 instances: `bench` times queries on a decomposition file, so
 `gen chain ... | bench --decomp -` benchmarks a generated one.  Results go
 to stdout, diagnostics to stderr.  Exit codes: 0 affirmative/success, 1
-negative answer (unreachable, invalid), 2 usage or input error; a
-ValueError a library call raises for an argument out of its range is an
-input error.  File arguments accept '-' for stdin.
+negative answer (unreachable, invalid), 2 usage or input error.  File
+arguments accept '-' for stdin.
 """
 
 from __future__ import annotations
