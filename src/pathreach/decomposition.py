@@ -15,11 +15,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, repeat
-from operator import eq
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import eq, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import Digraph, Edge, _key_ends, _step_keys
+from .graph import Digraph, Edge, _edge_keys, _key_ends, _step_keys
 
 
 class DecompositionFormatError(ValueError):
@@ -185,13 +185,11 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     violations: tuple[Violation, ...]
 
-    @classmethod
-    def from_violations(cls, violations: Sequence[Violation]) -> "ValidationReport":
-        vs = tuple(violations)
-        return cls(ok=not vs, violations=vs)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def union_graph(w: WalkDecomposition, n: int) -> Digraph:
@@ -201,41 +199,51 @@ def union_graph(w: WalkDecomposition, n: int) -> Digraph:
     return Digraph._checked(n, tuple(sorted(set(_step_keys(n, w._paths)))))
 
 
+def _keyed(g: Digraph, w: WalkDecomposition) -> tuple[int, tuple[int, ...]]:
+    """A base above every vertex id of g and w, and g's edge keys u * base + v:
+    on it a step with an id of n or more names no edge, and keys sort as pairs."""
+    base = max(g.n, w.max_vertex + 1)
+    return base, g._keys if base == g.n else tuple(_edge_keys(base, *_key_ends(g.n, g._keys)))
+
+
+def _coverage_violations(edges: tuple[int, ...], used: set[int], base: int,
+                         noun: str) -> tuple[list[Violation], list[Violation]]:
+    """In key order, the steps in used that are not edges and the edges not in used."""
+    stray = [Violation(ViolationKind.EDGE_NOT_IN_GRAPH,
+                       f"step {divmod(key, base)} is not an edge of the graph")
+             for key in sorted(used.difference(edges))]
+    missed = [Violation(ViolationKind.EDGE_UNCOVERED,
+                        f"edge {divmod(key, base)} lies on no {noun}")
+              for key in filterfalse(used.__contains__, edges)]
+    return stray, missed
+
+
 def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationReport:
     """Check that p partitions the edges of g into simple directed paths.
 
     All failures are collected and reported, never raised.  Single-vertex
     walks carry no edges and are ignored.
     """
-    # Step keys name steps only while every id is below n.  Sorted, they
-    # equal the graph's keys exactly when each edge is used once and no
-    # step leaves the graph.
-    if p.max_vertex < g.n:
-        keys = sorted(_step_keys(g.n, p._paths))
-        if tuple(keys) == g._keys and all(
-                map(eq, map(len, map(set, p._paths)), map(len, p._paths))):
-            return ValidationReport.from_violations(())
-    # Some check fails: name every violation, on (u, v) pairs.
-    violations: list[Violation] = []
-    for i, vs in enumerate(p._paths):
-        if len(set(vs)) < len(vs):
-            violations.append(Violation(
-                ViolationKind.NOT_SIMPLE, f"walk {i} repeats a vertex: {list(vs)}"))
-    steps = [step for vs in p._paths for step in zip(vs, vs[1:])]
-    used = set(steps)
-    edges = g.edges
-    for e in sorted(used - edges):
-        violations.append(Violation(
-            ViolationKind.EDGE_NOT_IN_GRAPH, f"step {e} is not an edge of the graph"))
-    if len(used) < len(steps):
-        usage = Counter(steps)
-        for e in sorted(e for e, c in usage.items() if c > 1 and e in edges):
-            violations.append(Violation(
-                ViolationKind.EDGE_REPEATED, f"edge {e} is used {usage[e]} times"))
-    for e in sorted(edges - used):
-        violations.append(Violation(
-            ViolationKind.EDGE_UNCOVERED, f"edge {e} lies on no path"))
-    return ValidationReport.from_violations(violations)
+    base, edges = _keyed(g, p)
+    paths = p._paths
+    violations = [Violation(ViolationKind.NOT_SIMPLE, f"walk {i} repeats a vertex: {list(vs)}")
+                  for i, vs in compress(enumerate(paths),
+                                        map(lt, map(len, map(set, paths)), map(len, paths)))]
+    # Sorted, the step keys equal the edge keys exactly when each edge is
+    # used once and no step leaves the graph.
+    keys = sorted(_step_keys(base, paths))
+    if tuple(keys) != edges:
+        used = set(keys)
+        stray, missed = _coverage_violations(edges, used, base, "path")
+        violations += stray
+        if len(used) < len(keys):
+            usage = Counter(keys)
+            repeated = {key for key, c in usage.items() if c > 1}.intersection(edges)
+            violations += [Violation(ViolationKind.EDGE_REPEATED,
+                                     f"edge {divmod(key, base)} is used {usage[key]} times")
+                           for key in sorted(repeated)]
+        violations += missed
+    return ValidationReport(tuple(violations))
 
 
 def validate_walk_decomposition(g: Digraph, w: WalkDecomposition) -> ValidationReport:
@@ -243,19 +251,9 @@ def validate_walk_decomposition(g: Digraph, w: WalkDecomposition) -> ValidationR
 
     Walks may repeat vertices and share edges; only coverage matters.
     """
-    if w.max_vertex < g.n and set(_step_keys(g.n, w._paths)) == set(g._keys):
-        return ValidationReport.from_violations(())
-    # Some step is not an edge or some edge is missed: name each, on (u, v) pairs.
-    violations: list[Violation] = []
-    used = {step for vs in w._paths for step in zip(vs, vs[1:])}
-    edges = g.edges
-    for e in sorted(used - edges):
-        violations.append(Violation(
-            ViolationKind.EDGE_NOT_IN_GRAPH, f"step {e} is not an edge of the graph"))
-    for e in sorted(edges - used):
-        violations.append(Violation(
-            ViolationKind.EDGE_UNCOVERED, f"edge {e} lies on no walk"))
-    return ValidationReport.from_violations(violations)
+    base, edges = _keyed(g, w)
+    stray, missed = _coverage_violations(edges, set(_step_keys(base, w._paths)), base, "walk")
+    return ValidationReport((*stray, *missed))
 
 
 def path_number_lower_bound(g: Digraph) -> int:
@@ -310,7 +308,8 @@ def _parse_canonical(text: str) -> WalkDecomposition | None:
     # equal ids where one walk ends and the next begins; only a hit there
     # needs the check walk by walk.
     flat = list(chain.from_iterable(paths))
-    if any(map(eq, flat, flat[1:])) and any(any(map(eq, vs, vs[1:])) for vs in paths):
+    if any(map(eq, flat, islice(flat, 1, None))) and any(
+            any(map(eq, vs, vs[1:])) for vs in paths):
         return None
     return WalkDecomposition._checked(paths)
 

@@ -14,7 +14,7 @@ import json
 import re
 from bisect import bisect_left
 from collections import defaultdict
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, eq, floordiv, lt, mod, mul
 from typing import Iterable, Iterator, NamedTuple
 
@@ -235,18 +235,18 @@ def _parse_canonical(match: re.Match[str]) -> Digraph | None:
         ends = json.loads("[" + match[2].replace("\ne ", ",").replace(" ", ",")[1:] + "]")
     except ValueError:
         return None
-    us, vs = ends[0::2], ends[1::2]
-    if any(map(eq, us, vs)) or us and max(max(us), max(vs)) >= n:
+    tails, heads = islice(ends, 0, None, 2), islice(ends, 1, None, 2)
+    if any(map(eq, tails, heads)) or ends and max(ends) >= n:
         return None
     # Lines in the order format_graph writes give strictly ascending keys,
     # which proves there are no duplicates; any other order is sorted and
     # then has a duplicate exactly where two neighbors are equal.
-    keys = list(_edge_keys(n, us, vs))
-    if not all(map(lt, keys, keys[1:])):
-        keys.sort()
-        if any(map(eq, keys, keys[1:])):
+    keys = tuple(_edge_keys(n, islice(ends, 0, None, 2), islice(ends, 1, None, 2)))
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        keys = tuple(sorted(keys))
+        if any(map(eq, keys, islice(keys, 1, None))):
             return None
-    return Digraph._checked(n, tuple(keys))
+    return Digraph._checked(n, keys)
 
 
 def _parse_lines(text: str) -> Digraph:

@@ -8,6 +8,8 @@ from pathreach import decomposition
 from pathreach.dagcover import minimal_path_decomposition
 from pathreach.decomposition import (
     DecompositionFormatError,
+    ValidationReport,
+    Violation,
     ViolationKind,
     Walk,
     WalkDecomposition,
@@ -107,6 +109,23 @@ class TestValidatePaths:
         assert ViolationKind.NOT_SIMPLE in kinds
         assert ViolationKind.EDGE_UNCOVERED in kinds
         assert ViolationKind.EDGE_NOT_IN_GRAPH in kinds
+
+    def test_report_ok_means_no_violations(self):
+        assert ValidationReport(()).ok
+        assert not ValidationReport((Violation(ViolationKind.EDGE_UNCOVERED, "x"),)).ok
+
+
+def test_validators_use_edge_keys_only(monkeypatch):
+    def pairs(self):
+        raise AssertionError("a validator built Digraph.edges")
+
+    g = Digraph(4, [(0, 1), (1, 2), (2, 3)])
+    monkeypatch.setattr(Digraph, "edges", property(pairs))
+    # a valid cover, a broken one, and one with a step to id 7 >= n
+    for family, ok in (([[0, 1, 2, 3]], True), ([[0, 1], [1, 2, 0]], False),
+                       ([[0, 1, 2, 3, 7]], False)):
+        for validate in (validate_path_decomposition, validate_walk_decomposition):
+            assert validate(g, WalkDecomposition(family)).ok is ok
 
 
 class TestValidateWalks:
@@ -401,6 +420,10 @@ def graphs_with_families(draw):
 # The step (0, 5) has the key 0 * 3 + 5 of the edge (1, 2), so a key
 # comparison alone would call this cover exact.
 @example((3, [(1, 2)], [[0, 5]]))
+# One report holding all four kinds, in kind order; each stray step has an
+# id >= n.  In the second, (1, 9) has the key 1 * 4 + 9 of the edge (3, 1).
+@example((3, [(0, 1), (1, 0), (1, 2)], [[0, 1, 0, 1, 3]]))
+@example((4, [(0, 1), (1, 0), (2, 3), (3, 1)], [[0, 1, 0], [0, 1, 9]]))
 @settings(max_examples=300, deadline=None)
 def test_validators_match_tuple_set_reference(case):
     n, edges, paths = case
