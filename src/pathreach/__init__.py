@@ -9,13 +9,7 @@ numbering each vertex's incident edges and following the numbers.  The
 public API is the names below, each documented in README.md.
 """
 
-from .dagcover import (
-    CyclicGraphError,
-    EdgeIndexing,
-    assign_edge_indices,
-    minimal_path_decomposition,
-    trace_path,
-)
+from .dagcover import CyclicGraphError, minimal_path_decomposition
 from .decomposition import (
     DecompositionFormatError,
     ValidationReport,
@@ -31,10 +25,8 @@ from .decomposition import (
     validate_walk_decomposition,
 )
 from .graph import (
-    DegreePair,
     Digraph,
     GraphFormatError,
-    degrees,
     format_graph,
     is_acyclic,
     parse_graph,
@@ -44,9 +36,7 @@ from .reach import ReachResult, decide_reachability
 __all__ = [
     "CyclicGraphError",
     "DecompositionFormatError",
-    "DegreePair",
     "Digraph",
-    "EdgeIndexing",
     "GraphFormatError",
     "ReachResult",
     "ValidationReport",
@@ -54,9 +44,7 @@ __all__ = [
     "ViolationKind",
     "Walk",
     "WalkDecomposition",
-    "assign_edge_indices",
     "decide_reachability",
-    "degrees",
     "format_decomposition",
     "format_graph",
     "is_acyclic",
@@ -64,7 +52,6 @@ __all__ = [
     "parse_decomposition",
     "parse_graph",
     "path_number_lower_bound",
-    "trace_path",
     "union_graph",
     "validate_path_decomposition",
     "validate_walk_decomposition",

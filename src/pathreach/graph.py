@@ -16,7 +16,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from itertools import islice, repeat
 from operator import add, eq, floordiv, lt, mod, mul
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -32,11 +32,6 @@ _MAX_VERTEX_COUNT = 1 << 22
 
 class GraphFormatError(ValueError):
     """A graph file could not be parsed."""
-
-
-class DegreePair(NamedTuple):
-    indeg: int
-    outdeg: int
 
 
 class Digraph:
@@ -170,11 +165,6 @@ def _reject_first_bad_edge(n: int, edges: Iterable[Edge]) -> None:
             raise ValueError(f"loop edge ({u}, {v}) is not allowed")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-
-
-def degrees(g: Digraph, v: int) -> DegreePair:
-    """Indegree and outdegree of vertex v."""
-    return DegreePair(len(g.predecessors(v)), len(g.successors(v)))
 
 
 def is_acyclic(g: Digraph) -> bool:

@@ -1,10 +1,10 @@
 """Brute-force oracles and reproducible instance generators.
 
-Nothing here shares code with the frontier-register engine or the
-index-following cover; the point is to give differential tests something
-independent to disagree with.  Generators draw from Python's stdlib
-random.Random (Mersenne Twister), so a given seed reproduces an instance
-byte for byte.
+Nothing here shares code with the frontier-register engine or with
+dagcover: numbered_cover follows the paper's edge numbering by its own
+route.  The point is to give differential tests something independent to
+disagree with.  Generators draw from Python's stdlib random.Random
+(Mersenne Twister), so a given seed reproduces an instance byte for byte.
 """
 
 from __future__ import annotations
@@ -124,6 +124,45 @@ def oracle_min_switches(
     if not (0 <= t < universe):
         raise ValueError(f"target {t} outside [0, {universe})")
     return _switch_cost_map(w, s).get(t)
+
+
+def numbered_cover(g: Digraph, rng: random.Random | None = None) -> WalkDecomposition:
+    """The traces of the paper's edge numbering, as the reference cover.
+
+    Every vertex numbers its incoming edges 1..indeg and its outgoing edges
+    1..outdeg, by ascending neighbour id, or in an order drawn from rng when
+    it is given.  A trace starts on every outgoing edge whose number exceeds
+    the vertex's indegree, in (vertex, out number) order, and after entering
+    a vertex through in number i leaves along out number i, ending where
+    there is none.  Raises ValueError when a trace revisits a vertex.
+
+    No length guard is needed: the map from an edge to the next edge of its
+    trace is injective and never yields a start edge, so a trace ends
+    within m steps, cyclic g included.
+    """
+    in_number: dict[Edge, int] = {}
+    out_edge: dict[tuple[int, int], int] = {}  # (v, out number) -> head
+    starts: list[Edge] = []
+    for v in range(g.n):
+        preds, succs = list(g.predecessors(v)), list(g.successors(v))
+        if rng is not None:
+            rng.shuffle(preds)
+            rng.shuffle(succs)
+        for i, u in enumerate(preds, start=1):
+            in_number[(u, v)] = i
+        for i, x in enumerate(succs, start=1):
+            out_edge[(v, i)] = x
+        starts.extend((v, x) for x in succs[len(preds):])
+    walks = []
+    for u, v in starts:
+        verts = [u, v]
+        while (out := (v, in_number[(u, v)])) in out_edge:
+            u, v = v, out_edge[out]
+            verts.append(v)
+        if len(set(verts)) < len(verts):
+            raise ValueError(f"trace {verts} revisits a vertex")
+        walks.append(Walk(verts))
+    return WalkDecomposition(walks)
 
 
 def gen_decomposed_instance(spec: InstanceSeed) -> WalkDecomposition:

@@ -1,9 +1,10 @@
 """The public API is what README documents, and the oracles stay independent.
 
-Every name `pathreach` exports must appear in README.md; the names of the
-retired test-only engine API must not come back; and `pathreach.testkit`,
-which supplies the oracles the engine is checked against, must not import
-the engine (`reach`) or the cover (`dagcover`).
+Every name `pathreach` exports must appear in README.md, and README's
+library example must run as shown; the names of the retired test-only API
+must not come back; and `pathreach.testkit`, which supplies the oracles the
+engine is checked against, must not import the engine (`reach`) or the
+cover (`dagcover`).
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pathreach
-from pathreach import dagcover, reach, testkit
+from pathreach import dagcover, graph, reach, testkit
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,6 +25,11 @@ RETIRED = (
     "occurs_from",
     "initial_frontier",
     "advance_frontier",
+    "EdgeIndexing",
+    "assign_edge_indices",
+    "trace_path",
+    "degrees",
+    "DegreePair",
 )
 
 
@@ -39,9 +45,17 @@ def test_all_lists_every_export():
     assert public == set(pathreach.__all__)
 
 
+def test_readme_library_overview_runs():
+    block = re.search(r"## Library overview\n\n```python\n(.*?)```", README.read_text(), re.S)[1]
+    expected = re.search(r"^# (ReachResult\(.*\))$", block, re.M)[1]
+    namespace = {}
+    exec(block, namespace)
+    assert repr(namespace["res"]) == expected
+
+
 @pytest.mark.parametrize("name", RETIRED)
 def test_retired_name_is_gone(name):
-    for module in (pathreach, reach, dagcover):
+    for module in (pathreach, reach, dagcover, graph):
         assert not hasattr(module, name), f"{module.__name__}.{name} exists"
 
 

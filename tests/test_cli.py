@@ -476,6 +476,7 @@ DIAGNOSTIC_FILES = {
 }
 DIAGNOSTICS = [
     ("reach --decomp d.walks --from 99 --to 0", "source 99 outside [0, 11)"),
+    ("reach --decomp d.walks --from 11 --to 0", "source 11 outside [0, 11)"),
     ("reach --decomp d.walks --from 0 --to 11", "target 11 outside [0, 11)"),
     ("reach --decomp wide.walks --graph small.g --from 0 --to 1",
      "universe 2 smaller than implied vertex count 6"),

@@ -1,14 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathreach.dagcover import (
-    CyclicGraphError,
-    EdgeIndexing,
-    assign_edge_indices,
-    minimal_path_decomposition,
-    trace_path,
-)
+from pathreach.dagcover import CyclicGraphError, minimal_path_decomposition
 from pathreach.decomposition import (
     Walk,
     WalkDecomposition,
@@ -17,8 +13,8 @@ from pathreach.decomposition import (
     path_number_lower_bound,
     validate_path_decomposition,
 )
-from pathreach.graph import Digraph, degrees, format_graph, parse_graph
-from pathreach.testkit import gen_random_dag
+from pathreach.graph import Digraph, format_graph, parse_graph
+from pathreach.testkit import gen_random_dag, numbered_cover
 
 DIAMOND = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PATH3 = Digraph(3, [(0, 1), (1, 2)])
@@ -34,66 +30,70 @@ def random_dags():
 
 
 class TestAssign:
+    """The numbering of testkit.numbered_cover, by ascending neighbour id or
+    shuffled, seen through its traces."""
+
     def test_diamond(self):
-        idx = assign_edge_indices(DIAMOND)
-        assert idx.out_index[(0, 1)] == 1
-        assert idx.out_index[(0, 2)] == 2
-        assert idx.in_index[(1, 3)] == 1
-        assert idx.in_index[(2, 3)] == 2
+        # Every numbering gives the same two paths; only the out numbers at
+        # 0, which order the starts, can differ.
+        for seed in range(8):
+            cover = numbered_cover(DIAMOND, random.Random(seed))
+            assert sorted(w.vertices for w in cover) == [(0, 1, 3), (0, 2, 3)]
 
     def test_single_edge(self):
-        idx = assign_edge_indices(Digraph(2, [(0, 1)]))
-        assert idx.out_index[(0, 1)] == 1
-        assert idx.in_index[(0, 1)] == 1
+        # Out number 1 exceeds indeg(0) = 0, under any numbering.
+        g = Digraph(2, [(0, 1)])
+        assert list(numbered_cover(g, random.Random(0))) == [Walk([0, 1])]
 
     def test_edgeless(self):
-        idx = assign_edge_indices(Digraph(3))
-        assert idx.in_index == {} and idx.out_index == {}
+        assert numbered_cover(Digraph(3)).k == 0
 
-    @given(random_dags())
+    def test_shuffled_numbering_changes_pairing(self):
+        # At 2, the in-edge from 0 pairs with the out-edge to 3 by ascending
+        # id; some shuffled numberings pair it with the out-edge to 4.
+        g = Digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
+        assert list(numbered_cover(g)) == [Walk([0, 2, 3]), Walk([1, 2, 4])]
+        covers = {tuple(sorted(w.vertices for w in numbered_cover(g, random.Random(seed))))
+                  for seed in range(16)}
+        assert covers == {((0, 2, 3), (1, 2, 4)), ((0, 2, 4), (1, 2, 3))}
+
+    @given(random_dags(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
-    def test_indices_are_permutations(self, g):
-        idx = assign_edge_indices(g)
-        for v in range(g.n):
-            ins = sorted(idx.in_index[(u, v)] for u in g.predecessors(v))
-            outs = sorted(idx.out_index[(v, x)] for x in g.successors(v))
-            assert ins == list(range(1, degrees(g, v).indeg + 1))
-            assert outs == list(range(1, degrees(g, v).outdeg + 1))
+    def test_indices_are_permutations(self, g, rng):
+        # Numbers 1..indeg and 1..outdeg, in any order, leave exactly
+        # outdeg - indeg out-edges of v unmatched, each a start, and
+        # indeg - outdeg in-edges unmatched, each an end.
+        for numbering in (None, rng):
+            cover = numbered_cover(g, numbering)
+            for v in range(g.n):
+                surplus = len(g.successors(v)) - len(g.predecessors(v))
+                assert sum(w[0] == v for w in cover) == max(0, surplus)
+                assert sum(w[-1] == v for w in cover) == max(0, -surplus)
 
 
 class TestTrace:
     def test_diamond_second_start(self):
-        idx = assign_edge_indices(DIAMOND)
-        assert trace_path(DIAMOND, idx, (0, 2)) == Walk([0, 2, 3])
+        assert numbered_cover(DIAMOND)[1] == Walk([0, 2, 3])
 
     def test_single_edge(self):
         g = Digraph(2, [(0, 1)])
-        assert trace_path(g, assign_edge_indices(g), (0, 1)) == Walk([0, 1])
+        assert numbered_cover(g)[0] == Walk([0, 1])
 
     def test_path_graph(self):
-        assert trace_path(PATH3, assign_edge_indices(PATH3), (0, 1)) == Walk([0, 1, 2])
-
-    def test_start_not_in_graph(self):
-        with pytest.raises(ValueError, match="not in the graph"):
-            trace_path(PATH3, assign_edge_indices(PATH3), (0, 2))
-
-    def test_illegal_start(self):
-        # (1, 2) carries out number 1 which does not exceed indeg(1) = 1
-        with pytest.raises(ValueError, match="not a legal path start"):
-            trace_path(PATH3, assign_edge_indices(PATH3), (1, 2))
+        assert list(numbered_cover(PATH3)) == [Walk([0, 1, 2])]
 
     def test_cycle_detected(self):
         g = Digraph(3, [(0, 1), (1, 2), (2, 1)])
-        with pytest.raises(CyclicGraphError):
-            trace_path(g, assign_edge_indices(g), (0, 1))
+        with pytest.raises(ValueError, match=r"^trace \[0, 1, 2, 1\] revisits a vertex$"):
+            numbered_cover(g)
 
     def test_revisit_within_length_guard(self):
-        # The trace from (0, 1) is [0, 1, 2, 1, 3]: five vertices on five
-        # vertex ids, so the length guard stays quiet and only the revisit
-        # check can reject it.
+        # The trace from (0, 1) is [0, 1, 2, 1, 3]: it leaves the cycle
+        # again and ends within m steps, so only the revisit check can
+        # reject it.
         g = Digraph(5, [(0, 1), (1, 2), (2, 1), (1, 3)])
-        with pytest.raises(CyclicGraphError, match="revisits a vertex"):
-            trace_path(g, assign_edge_indices(g), (0, 1))
+        with pytest.raises(ValueError, match="revisits a vertex"):
+            numbered_cover(g)
 
 
 class TestMinimalDecomposition:
@@ -116,10 +116,9 @@ class TestMinimalDecomposition:
         # no check of coverage or revisits can stand in for the acyclicity
         # check that minimal_path_decomposition makes first.
         g = Digraph(5, [(4, 3), (3, 0), (3, 1), (1, 2), (1, 3)])
-        idx = assign_edge_indices(g)
-        traces = [trace_path(g, idx, start).vertices for start in [(1, 3), (4, 3)]]
-        assert traces == [(1, 3, 0), (4, 3, 1, 2)]
-        assert validate_path_decomposition(g, WalkDecomposition(traces)).ok
+        traces = numbered_cover(g)
+        assert list(traces) == [Walk([1, 3, 0]), Walk([4, 3, 1, 2])]
+        assert validate_path_decomposition(g, traces).ok
         with pytest.raises(CyclicGraphError, match="^graph is not acyclic$"):
             minimal_path_decomposition(g)
 
@@ -145,15 +144,7 @@ class TestMinimalDecomposition:
     @given(random_dags())
     @settings(max_examples=100, deadline=None)
     def test_matches_traces_of_assigned_indexing(self, g):
-        # Reference: trace_path over assign_edge_indices from every legal
-        # start, in (vertex, out number) order.
-        idx = assign_edge_indices(g)
-        reference = []
-        for v in range(g.n):
-            for x in sorted(g.successors(v), key=lambda x: idx.out_index[(v, x)]):
-                if idx.out_index[(v, x)] > degrees(g, v).indeg:
-                    reference.append(trace_path(g, idx, (v, x)))
-        assert list(minimal_path_decomposition(g)) == reference
+        assert minimal_path_decomposition(g) == numbered_cover(g)
 
     @given(random_dags())
     @settings(max_examples=100, deadline=None)
@@ -176,27 +167,6 @@ class TestMinimalDecomposition:
     def test_any_valid_indexing_works(self, g, rng):
         # Shuffle each vertex's in and out numbering; the traces must still
         # form a valid decomposition of minimal size.
-        idx = assign_edge_indices(g)
-        in_index = dict(idx.in_index)
-        out_index = dict(idx.out_index)
-        for v in range(g.n):
-            preds = list(g.predecessors(v))
-            ranks = list(range(1, len(preds) + 1))
-            rng.shuffle(ranks)
-            for u, r in zip(preds, ranks):
-                in_index[(u, v)] = r
-            succs = list(g.successors(v))
-            ranks = list(range(1, len(succs) + 1))
-            rng.shuffle(ranks)
-            for x, r in zip(succs, ranks):
-                out_index[(v, x)] = r
-        shuffled = EdgeIndexing(in_index=in_index, out_index=out_index)
-        walks = []
-        for v in range(g.n):
-            indeg = degrees(g, v).indeg
-            for x in g.successors(v):
-                if shuffled.out_index[(v, x)] > indeg:
-                    walks.append(trace_path(g, shuffled, (v, x)))
-        cover = WalkDecomposition(walks)
+        cover = numbered_cover(g, rng)
         assert validate_path_decomposition(g, cover).ok
         assert cover.k == path_number_lower_bound(g)

@@ -60,10 +60,16 @@ class TestUnionGraph:
     def test_empty(self):
         g = union_graph(WalkDecomposition(), 4)
         assert g.n == 4 and g.edge_count == 0
+        # The empty family uses no vertex id, so it fits on no vertices.
+        empty = WalkDecomposition()
+        assert empty.max_vertex == -1 and empty.implied_vertex_count == 0
+        assert union_graph(empty, 0).n == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             union_graph(WalkDecomposition([[0, 5]]), 3)
+        with pytest.raises(ValueError, match=r"^walk vertex 3 outside \[0, 3\)$"):
+            union_graph(WalkDecomposition([[0, 3]]), 3)
 
     def test_single_vertex_walks_add_nothing(self):
         g = union_graph(WalkDecomposition([[2], [0, 1]]), 3)

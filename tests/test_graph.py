@@ -5,15 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathreach import graph
-from pathreach.graph import (
-    DegreePair,
-    Digraph,
-    GraphFormatError,
-    degrees,
-    format_graph,
-    is_acyclic,
-    parse_graph,
-)
+from pathreach.graph import Digraph, GraphFormatError, format_graph, is_acyclic, parse_graph
 
 DIAMOND = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 
@@ -256,18 +248,19 @@ class TestDigraph:
 
 class TestDegrees:
     def test_diamond_source(self):
-        assert degrees(DIAMOND, 0) == DegreePair(0, 2)
+        assert DIAMOND.predecessors(0) == () and DIAMOND.successors(0) == (1, 2)
 
     def test_diamond_sink(self):
-        assert degrees(DIAMOND, 3) == DegreePair(2, 0)
+        assert DIAMOND.predecessors(3) == (1, 2) and DIAMOND.successors(3) == ()
 
     def test_edgeless(self):
         g = Digraph(3)
-        assert all(degrees(g, v) == (0, 0) for v in range(3))
+        assert all(g.predecessors(v) == g.successors(v) == () for v in range(3))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            degrees(DIAMOND, 4)
+        for neighbours in (DIAMOND.predecessors, DIAMOND.successors):
+            with pytest.raises(ValueError, match=r"^vertex 4 outside \[0, 4\)$"):
+                neighbours(4)
 
 
 class TestAcyclic:
@@ -306,8 +299,8 @@ class TestAcyclic:
 @given(digraphs())
 @settings(max_examples=100, deadline=None)
 def test_degree_sums_equal_edge_count(g):
-    indegs = sum(degrees(g, v).indeg for v in range(g.n))
-    outdegs = sum(degrees(g, v).outdeg for v in range(g.n))
+    indegs = sum(len(g.predecessors(v)) for v in range(g.n))
+    outdegs = sum(len(g.successors(v)) for v in range(g.n))
     assert indegs == outdegs == g.edge_count
 
 
