@@ -178,6 +178,8 @@ def _cmd_bench(args) -> int:
     if args.query:
         pairs = args.query
     else:
+        if args.pairs < 0:
+            raise _InputError("pairs must be nonnegative")
         if n < 1:
             raise _InputError("instance has no vertices to query")
         # Drawn one pair at a time, so --pairs does not size any list.

@@ -94,8 +94,8 @@ class WalkDecomposition:
 
     The family is held as the walks' vertex tuples; the Walk objects of
     the public view are built on first use.  The derived occurrence index
-    (per vertex, its first and last position in each walk that contains
-    it) is built lazily and cached; it is query-independent input
+    (per vertex, its last position in each walk that contains it) is
+    built lazily and cached; it is query-independent input
     representation, shared by all reachability queries on the instance.
     """
 
@@ -132,22 +132,17 @@ class WalkDecomposition:
         return self.max_vertex + 1
 
     @cached_property
-    def occurrences(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
-        """Per vertex, one (walk, first, last) entry for each walk it occurs in.
+    def occurrences(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Per vertex, one (walk, last) entry for each walk it occurs in.
 
-        Entries are in walk order; first and last are the smallest and
-        largest position of the vertex in that walk.  Only vertices that
-        occur are keys, so the index is sized by the input, not by the
-        largest vertex id.
+        Entries are in walk order; last is the largest position of the
+        vertex in that walk.  Only vertices that occur are keys, so the
+        index is sized by the input, not by the largest vertex id.
         """
-        index: dict[int, list[tuple[int, int, int]]] = {}
+        index: dict[int, list[tuple[int, int]]] = {}
         for i, vs in enumerate(self._paths):
-            last = {v: pos for pos, v in enumerate(vs)}
-            first: dict[int, int] = {}
-            for pos, v in enumerate(vs):
-                first.setdefault(v, pos)
-            for v, pos in first.items():
-                index.setdefault(v, []).append((i, pos, last[v]))
+            for v, last in dict(zip(vs, range(len(vs)))).items():
+                index.setdefault(v, []).append((i, last))
         return {v: tuple(entries) for v, entries in index.items()}
 
     def __len__(self) -> int:

@@ -10,9 +10,10 @@ needed, and the working state per query is the 2k registers plus a fixed
 handful of scalars, independent of the graph size.
 
 The engine reads the decomposition's read-only occurrence index: per
-vertex, the (walk, first, last) entry of every walk it occurs in.  A
-scanned position therefore checks only the walks that contain its
-vertex, not all k registers.
+vertex, the (walk, last) entry of every walk it occurs in.  A scanned
+position therefore checks only the walks that contain its vertex, not
+all k registers.  A walk with no position known holds its own length,
+which fails every comparison against a position in it.
 
 One generator, _rounds, runs the frontier: it yields the registers of
 level 0, the earliest occurrences of the source, and then those of every
@@ -28,14 +29,10 @@ from typing import Iterator
 
 from .decomposition import WalkDecomposition
 
-# Register value meaning "no position known"; larger than any real position
-# so that comparisons against occurrence positions fail without branching.
-_ABSENT = 1 << 60
-
 # Scalar index-sized locals live during a query, on top of the 2k registers:
-# walk cursors i and j, scan position q, scanned vertex v, scan limit,
-# the cursor into the occurrence entries of v, the round counter, and the
-# change flag of the current round.
+# walk cursors i and j, scan position q, scanned vertex v, the cursor into
+# the occurrence entries of v, the walk's new register value, the round
+# counter, and the change flag of the current round.
 _QUERY_SCRATCH_WORDS = 8
 
 
@@ -50,19 +47,19 @@ class ReachResult:
 def _advance(paths, occ, c, d) -> bool:
     """Compute the next frontier from c into d; return whether it moved.
 
-    occ[v] lists a (walk i, first, last) entry for each walk containing v,
-    so "v occurs at or after c[i]" is the comparison last >= c[i], made
-    only for the walks in which v occurs.  Scanning walk j can stop at
-    c[j]: positions from there on qualify already, hence d[j] never
-    exceeds c[j].
+    occ[v] lists a (walk i, last) entry for each walk containing v, so
+    "v occurs at or after c[i]" is the comparison last >= c[i], made only
+    for the walks in which v occurs.  Scanning walk j can stop at c[j]:
+    positions from there on qualify already, hence d[j] never exceeds
+    c[j].  A register at its walk's length fails every comparison and
+    lets the scan cover the whole walk.
     """
     changed = False
     for j in range(len(paths)):
         vs = paths[j]
         new_cj = c[j]
-        lim = new_cj if new_cj < len(vs) else len(vs)
-        for q in range(lim):
-            for i, _, last in occ[vs[q]]:
+        for q in range(new_cj):
+            for i, last in occ[vs[q]]:
                 if last >= c[i]:
                     new_cj = q
                     break
@@ -75,25 +72,25 @@ def _advance(paths, occ, c, d) -> bool:
 
 
 def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
-    """The registers of each level, from level 0 on; _ABSENT marks a walk
-    with no position known.
+    """The registers of each level, from level 0 on; a walk with no
+    position known holds its length.
 
-    Level 0 holds the first position of s in every walk.  Level 1 is
-    always yielded, even when it equals level 0, so a query whose source
-    occurs counts at least one round; after that the generator ends at
-    the first round that moves no register.  Nothing is yielded when s
-    occurs in no walk.  A yielded list keeps its level only until
-    the generator is resumed twice; copy it to keep it longer.
+    Level 0 holds the first position of s in every walk containing it.
+    Level 1 is always yielded, even when it equals level 0, so a query
+    whose source occurs counts at least one round; after that the
+    generator ends at the first round that moves no register.  Nothing is
+    yielded when s occurs in no walk.  A yielded list keeps its level only
+    until the generator is resumed twice; copy it to keep it longer.
     """
     occ = w.occurrences
     source = occ.get(s)
     if source is None:
         return
     paths = w._paths
-    c = [_ABSENT] * len(paths)
-    d = [_ABSENT] * len(paths)
-    for i, first, _ in source:
-        c[i] = first
+    c = list(map(len, paths))
+    d = c[:]
+    for i, _ in source:
+        c[i] = paths[i].index(s)
     yield c
     _advance(paths, occ, c, d)
     c, d = d, c
@@ -134,7 +131,7 @@ def decide_reachability(
     target = w.occurrences.get(t, ())
     level = 0
     for level, c in enumerate(_rounds(w, s)):
-        for i, _, last in target:
+        for i, last in target:
             if last >= c[i]:
                 return ReachResult(True, level, level, peak_words)
     return ReachResult(False, None, level, peak_words)

@@ -342,6 +342,13 @@ class TestBench:
         first = out[1].split(",")
         assert first[3] == "0->11" and first[4] == "1" and first[5] == "10"
 
+    def test_zero_pairs_prints_only_the_header(self, overlap_decomp, capsys):
+        # Zero queries are valid; a negative count is an input error
+        # (see DIAGNOSTICS).
+        assert run(["bench", "--decomp", overlap_decomp, "--pairs", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n,k,total_len,query,reachable,switches,iterations,peak_words,nanos"]
+
     def test_gen_source(self, tmp_path, monkeypatch, capsys):
         # The same gen walks output from a file and from stdin; n is the
         # decomposition's implied vertex count.
@@ -500,6 +507,7 @@ DIAGNOSTICS = [
     ("oracle --from 0 --to 1", "oracle needs --decomp or --graph"),
     ("bench --decomp d.walks --query 99,0", "source 99 outside [0, 11)"),
     ("bench --decomp d.walks --query 0,11", "target 11 outside [0, 11)"),
+    ("bench --decomp d.walks --pairs -3", "pairs must be nonnegative"),
     ("decompose --graph cyc.g", "graph is not acyclic"),
 ]
 

@@ -1,15 +1,19 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathreach.decomposition import WalkDecomposition, union_graph
-from pathreach.reach import _ABSENT, _rounds, decide_reachability
+from pathreach.reach import _rounds, decide_reachability
 from pathreach.testkit import (
     InstanceSeed,
     gen_decomposed_instance,
     oracle_min_switches,
     oracle_reachable,
     reachable_set,
+    switch_chain,
     switch_costs,
     switch_ring,
 )
@@ -31,8 +35,10 @@ def instances(max_n=14, max_k=6, max_len=10):
 
 
 def levels(w, s):
-    """The register tuples _rounds yields, None where no position is known."""
-    return [tuple(None if x == _ABSENT else x for x in c) for c in _rounds(w, s)]
+    """The register tuples _rounds yields, None where no position is known
+    (a register at its walk's length)."""
+    return [tuple(None if x == len(walk) else x for x, walk in zip(c, w))
+            for c in _rounds(w, s)]
 
 
 class TestAdvanceFrontier:
@@ -127,12 +133,40 @@ class TestDecide:
             assert oracle_min_switches(w, 0, k + 1) == k
 
 
+def _traced_query_bytes(w, s, t):
+    """Peak bytes traced during one decide_reachability(w, s, t) call,
+    with the occurrence index and the vertex count built beforehand."""
+    w.occurrences, w.implied_vertex_count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decide_reachability(w, s, t)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestMeter:
     def test_peak_is_register_budget(self):
         for k in (0, 1, 4, 16):
             w = WalkDecomposition([[2 * i, 2 * i + 1] for i in range(k)])
             res = decide_reachability(w, 0, 1, n=max(2 * k, 2))
             assert res.peak_words <= 2 * k + 8
+
+    def test_traced_query_space_flat_in_n_and_linear_in_k(self):
+        # The index is built before tracing; what one query allocates on
+        # top is its registers and scalars.  Flat in n at k = 4, at most
+        # 24 bytes per walk plus a constant in k.
+        flat = [_traced_query_bytes(switch_chain(n, 4), n - 50, n - 1)
+                for n in (100, 1000, 10_000)]
+        assert max(flat) - min(flat) <= 512, flat
+        for k in (4, 64, 1024):
+            w = gen_decomposed_instance(InstanceSeed(2000, k, 50, 1))
+            rng = random.Random(k)
+            n = w.implied_vertex_count
+            worst = max(_traced_query_bytes(w, rng.randrange(n), rng.randrange(n))
+                        for _ in range(10))
+            assert worst <= 24 * k + 2048, (k, worst)
 
     def test_peak_independent_of_walk_length(self):
         peaks = set()
@@ -145,8 +179,8 @@ class TestMeter:
 @given(instances())
 @settings(max_examples=150, deadline=None)
 def test_occurrence_index_matches_scan(w):
-    # Per vertex, one (walk, first, last) entry per walk containing it, in
-    # walk order; vertices that occur nowhere are not keys.
+    # Per vertex, one (walk, last) entry per walk containing it, in walk
+    # order; vertices that occur nowhere are not keys.
     occ = w.occurrences
     assert set(occ) == {v for walk in w for v in walk.vertices}
     for v in range(w.implied_vertex_count + 2):
@@ -154,7 +188,7 @@ def test_occurrence_index_matches_scan(w):
         for i, walk in enumerate(w):
             positions = [q for q, u in enumerate(walk.vertices) if u == v]
             if positions:
-                expected.append((i, min(positions), max(positions)))
+                expected.append((i, max(positions)))
         assert occ.get(v, ()) == tuple(expected)
 
 
@@ -202,6 +236,46 @@ def test_advance_matches_scan_reference(w, data):
     for old, new in zip(regs, regs[1:]):
         assert new == _reference_advance(w, old)
     assert _reference_advance(w, regs[-1]) == regs[-1]
+
+
+def _strict_levels(w, s):
+    # The levels restated with the strict test "v occurs after c[i]": a
+    # walk's new register is its first position, below the current one,
+    # whose vertex occurs strictly after some current register.
+    def step(c):
+        return tuple(
+            next((q for q in range(len(walk) if cj is None else cj)
+                  if any(ci is not None and walk[q] in w[i].vertices[ci + 1:]
+                         for i, ci in enumerate(c))),
+                 cj)
+            for walk, cj in zip(w, c))
+
+    regs = [tuple(walk.vertices.index(s) if s in walk.vertices else None for walk in w)]
+    regs.append(step(regs[0]))
+    while step(regs[-1]) != regs[-1]:
+        regs.append(step(regs[-1]))
+    return regs
+
+
+@given(instances(max_n=8, max_k=4, max_len=10), st.data())
+@settings(max_examples=150, deadline=None)
+def test_strict_comparison_gives_the_same_levels(w, data):
+    # The engine tests "v occurs at or after c[i]" (last >= c[i]); the
+    # vertex at a register is s, or it also occurs strictly after a
+    # register, so the strict test yields the same levels and the same
+    # target answers.  Small n makes walks repeat vertices.
+    if w.k == 0:
+        return
+    s = data.draw(st.sampled_from(sorted({v for walk in w for v in walk.vertices})))
+    regs = levels(w, s)
+    assert regs == _strict_levels(w, s)
+    for c in regs:
+        for t in range(w.implied_vertex_count):
+            if t != s:
+                assert (any(ci is not None and t in w[i].vertices[ci:]
+                            for i, ci in enumerate(c))
+                        == any(ci is not None and t in w[i].vertices[ci + 1:]
+                               for i, ci in enumerate(c)))
 
 
 @given(instances(max_n=10, max_k=4, max_len=8), st.data())
