@@ -1,21 +1,17 @@
 """Command-line front end.
 
 Subcommands: validate, reach, min-switches, decompose, pathnum-lb, gen
-(walks, chain, dag), oracle, bench.  `gen` is the only source of generated
-instances: `bench` times queries on a decomposition file, so
-`gen chain ... | bench --decomp -` benchmarks a generated one.  Results go
-to stdout, diagnostics to stderr.  Exit codes: 0 affirmative/success, 1
-negative answer (unreachable, invalid), 2 usage or input error.  File
-arguments accept '-' for stdin.
+(walks, chain, dag), oracle.  Results go to stdout, diagnostics to stderr.
+Exit codes: 0 affirmative/success, 1 negative answer (unreachable,
+invalid), 2 usage or input error.  File arguments accept '-' for stdin, at
+most one of them per command.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import random
 import sys
-import time
 from enum import IntEnum
 from typing import NoReturn, Sequence
 
@@ -170,41 +166,6 @@ def _cmd_oracle(args) -> int:
     return ExitStatus.OK if reachable else ExitStatus.NEGATIVE
 
 
-def _cmd_bench(args) -> int:
-    w = _load_decomposition(args.decomp)
-    n = w.implied_vertex_count
-    total_len = sum(len(walk) for walk in w)
-    rng = random.Random(args.seed)
-    if args.query:
-        pairs = args.query
-    else:
-        if args.pairs < 0:
-            raise _InputError("pairs must be nonnegative")
-        if n < 1:
-            raise _InputError("instance has no vertices to query")
-        # Drawn one pair at a time, so --pairs does not size any list.
-        pairs = ((rng.randrange(n), rng.randrange(n)) for _ in range(args.pairs))
-    print("n,k,total_len,query,reachable,switches,iterations,peak_words,nanos")
-    for s, t in pairs:
-        try:  # not _call: its frame would fall inside the timed span
-            start = time.perf_counter_ns()
-            res = decide_reachability(w, s, t, n=n)
-            elapsed = time.perf_counter_ns() - start
-        except ValueError as exc:
-            raise _InputError(str(exc)) from None
-        switches = "" if res.min_switches is None else res.min_switches
-        print(f"{n},{w.k},{total_len},{s}->{t},{int(res.reachable)},"
-              f"{switches},{res.iterations},{res.peak_words},{elapsed}")
-    return ExitStatus.OK
-
-
-def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two comma-separated integers")
-    return int(parts[0]), int(parts[1])
-
-
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors print one `error: <message>` line
     instead of the usage text; subparsers are made with the same class."""
@@ -270,14 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="dst", type=int, required=True)
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("bench", help="time queries, emit CSV")
-    p.add_argument("--decomp", required=True)
-    p.add_argument("--pairs", type=int, default=10, help="random query count")
-    p.add_argument("--query", type=_pair, action="append", metavar="S,T",
-                   help="explicit query; repeatable, overrides --pairs")
-    p.add_argument("--seed", type=int, default=0, help="seed for random queries")
-    p.set_defaults(func=_cmd_bench)
-
     return parser
 
 
@@ -289,6 +242,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return ExitStatus.OK if exc.code in (0, None) else ExitStatus.USAGE
     try:
+        # Stdin can be read once: checked before either file is read.
+        if getattr(args, "graph", None) == "-" == getattr(args, "decomp", None):
+            raise _InputError("stdin ('-') given for both --graph and --decomp")
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,10 @@ class InstanceSeed:
             raise ValueError("k must be nonnegative")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
+        # Up to k * max_len ids are drawn and held: capped like a graph's N.
+        if self.k * self.max_len > _MAX_VERTEX_COUNT:
+            raise ValueError(f"k * max_len = {self.k * self.max_len} "
+                             f"exceeds the limit {_MAX_VERTEX_COUNT}")
 
 
 def reachable_set(g: Digraph, s: int) -> set[int]:
@@ -212,8 +216,10 @@ def switch_chain(n: int, k: int) -> WalkDecomposition:
     0 -> n-1 costs n-2 switches and drives the engine through about n
     rounds.  The filler steps between reversed segments only add edges
     that point backwards along the chain, which cannot shorten a forward
-    route.
+    route.  n is checked against the graph-file cap before any allocation.
     """
+    if n > _MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {n} exceeds the limit {_MAX_VERTEX_COUNT}")
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not (1 <= k <= n - 1):

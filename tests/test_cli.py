@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import io
 import os
-import random
 import re
 import resource
 import shlex
@@ -12,7 +11,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +21,6 @@ from pathreach import cli
 from pathreach.cli import run
 from pathreach.decomposition import parse_decomposition
 from pathreach.graph import format_graph, parse_graph
-from pathreach.reach import decide_reachability
 from pathreach.testkit import gen_random_dag, switch_chain
 
 OVERLAP_FILE = "1 6 7 2 3 4 5 10 9 8\n1 2 3 4 9 3 8\n"
@@ -97,6 +94,46 @@ class TestReach:
         code = run(["min-switches", "--decomp", overlap_decomp, "--from", "8", "--to", "1"])
         assert code == 1
         assert capsys.readouterr().out.strip() == "UNREACHABLE"
+
+    def test_chain_answers(self, tmp_path, capsys):
+        chain = _gen_file(tmp_path, ["chain", "--n", "12", "--k", "3"], capsys)
+        assert run(["reach", "--decomp", chain, "--from", "11", "--to", "0"]) == 0
+        assert capsys.readouterr().out == "REACHABLE switches=1 iterations=1 peak_words=14\n"
+
+    def test_gen_chain_pipe(self):
+        # README's pipe: gen chain output read by reach from stdin.
+        python = f"{sys.executable} -m pathreach"
+        pipe = (f"{python} gen chain --n 12 --k 3 | "
+                f"{python} reach --decomp - --from 0 --to 11")
+        proc = subprocess.run(pipe, shell=True, env=_cli_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "REACHABLE switches=10 iterations=10 peak_words=14\n"
+
+    def test_file_and_stdin_agree(self, tmp_path, monkeypatch, capsys):
+        # The same gen walks output from a file and from stdin, every pair.
+        walks = _gen_file(tmp_path, ["walks", "--n", "10", "--k", "3", "--max-len", "8",
+                                     "--seed", "2"], capsys)
+        text = Path(walks).read_text()
+        n = parse_decomposition(text).implied_vertex_count
+        lines = {}
+        for source in (walks, "-"):
+            lines[source] = []
+            for s in range(n):
+                for t in range(n):
+                    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                    run(["reach", "--decomp", source, "--from", str(s), "--to", str(t)])
+                    lines[source].append(capsys.readouterr().out)
+        assert lines[walks] == lines["-"]
+        assert {line.split()[0] for line in lines["-"]} == {"REACHABLE", "UNREACHABLE"}
+
+
+def _gen_file(tmp_path, kind_args, capsys):
+    """Path of a file holding the stdout of `gen KIND_ARGS`."""
+    assert run(["gen", *kind_args]) == 0
+    path = tmp_path / f"{kind_args[0]}.walks"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
 
 
 def _cli_env():
@@ -311,104 +348,13 @@ class TestOracle:
         capsys.readouterr()
 
 
-def _gen_file(tmp_path, kind_args, capsys):
-    """Path of a file holding the stdout of `gen KIND_ARGS`."""
-    assert run(["gen", *kind_args]) == 0
-    path = tmp_path / f"{kind_args[0]}.walks"
-    path.write_text(capsys.readouterr().out)
-    return str(path)
-
-
-class TestBench:
-    def test_csv_schema(self, overlap_decomp, capsys):
-        code = run(["bench", "--decomp", overlap_decomp, "--pairs", "5", "--seed", "1"])
-        out = capsys.readouterr().out.splitlines()
-        assert code == 0
-        assert out[0] == "n,k,total_len,query,reachable,switches,iterations,peak_words,nanos"
-        assert len(out) == 6
-        for row in out[1:]:
-            n, k, total_len, query, reachable, switches, iters, peak, nanos = row.split(",")
-            assert int(n) == 11 and int(k) == 2 and int(total_len) == 17
-            assert re.match(r"^\d+->\d+$", query)
-            assert reachable in ("0", "1")
-            assert switches == "" or int(switches) >= 0
-            assert int(nanos) >= 0
-
-    def test_explicit_queries_and_chain(self, tmp_path, capsys):
-        chain = _gen_file(tmp_path, ["chain", "--n", "12", "--k", "3"], capsys)
-        code = run(["bench", "--decomp", chain, "--query", "0,11", "--query", "11,0"])
-        out = capsys.readouterr().out.splitlines()
-        assert code == 0 and len(out) == 3
-        first = out[1].split(",")
-        assert first[3] == "0->11" and first[4] == "1" and first[5] == "10"
-
-    def test_zero_pairs_prints_only_the_header(self, overlap_decomp, capsys):
-        # Zero queries are valid; a negative count is an input error
-        # (see DIAGNOSTICS).
-        assert run(["bench", "--decomp", overlap_decomp, "--pairs", "0"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "n,k,total_len,query,reachable,switches,iterations,peak_words,nanos"]
-
-    def test_gen_source(self, tmp_path, monkeypatch, capsys):
-        # The same gen walks output from a file and from stdin; n is the
-        # decomposition's implied vertex count.
-        walks = _gen_file(tmp_path, ["walks", "--n", "10", "--k", "3", "--max-len", "8",
-                                     "--seed", "2"], capsys)
-        text = Path(walks).read_text()
-        assert run(["bench", "--decomp", walks, "--pairs", "4"]) == 0
-        from_file = capsys.readouterr().out.splitlines()
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        assert run(["bench", "--decomp", "-", "--pairs", "4"]) == 0
-        from_stdin = capsys.readouterr().out.splitlines()
-        assert len(from_file) == 5
-        n = parse_decomposition(text).implied_vertex_count
-        assert all(row.split(",")[0] == str(n) for row in from_file[1:])
-        assert ([row.rsplit(",", 1)[0] for row in from_stdin]
-                == [row.rsplit(",", 1)[0] for row in from_file])
-
-    def test_random_pairs_follow_the_seeded_draw(self):
-        # README's pipe: gen chain output read by bench from stdin.
-        python = f"{sys.executable} -m pathreach"
-        pipe = (f"{python} gen chain --n 12 --k 3 | "
-                f"{python} bench --decomp - --pairs 6 --seed 7")
-        proc = subprocess.run(pipe, shell=True, env=_cli_env(), capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        queries = [row.split(",")[3] for row in proc.stdout.splitlines()[1:]]
-        rng = random.Random(7)
-        assert queries == [f"{rng.randrange(12)}->{rng.randrange(12)}" for _ in range(6)]
-
-    def test_pairs_are_drawn_one_query_at_a_time(self, tmp_path, monkeypatch, capsys):
-        # --pairs must not size a list drawn up front: the first query runs
-        # after two draws, not 2N.
-        chain = _gen_file(tmp_path, ["chain", "--n", "12", "--k", "3"], capsys)
-        draws = []
-
-        class CountingRandom(random.Random):
-            def randrange(self, *args):
-                draws.append(args)
-                return super().randrange(*args)
-
-        draws_at_query = []
-
-        def query(*args, **kwargs):
-            draws_at_query.append(len(draws))
-            return decide_reachability(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "random", SimpleNamespace(Random=CountingRandom))
-        monkeypatch.setattr(cli, "decide_reachability", query)
-        assert run(["bench", "--decomp", chain, "--pairs", "1000"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1001
-        assert draws_at_query[:3] == [2, 4, 6] and len(draws) == 2000
-
-
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ["bench", "--decomp", "d.walks", "--query", "-2,3"],
+        ["oracle", "--graph", "g.g", "--from", "-2,3", "--to", "1"],
         ["reach", "--decomp", "d.walks", "--from", "x", "--to", "1"],
         ["validate", "--graph", "g.g"],
         ["gen", "dag", "--n", "3"],
@@ -480,6 +426,8 @@ DIAGNOSTIC_FILES = {
     "cyc.g": "n 2\ne 0 1\ne 1 0\n",
     "small.g": "n 2\ne 0 1\n",
     "wide.walks": "0 1\n5\n",    # covers small.g, implied vertex count 6
+    # Cyclic, though its numbering traces form a valid cover (test_dagcover).
+    "split.g": "n 10\ne 5 0\ne 0 1\ne 1 2\ne 2 6\ne 7 2\ne 2 9\ne 9 0\ne 0 8\n",
 }
 DIAGNOSTICS = [
     ("reach --decomp d.walks --from 99 --to 0", "source 99 outside [0, 11)"),
@@ -496,6 +444,9 @@ DIAGNOSTICS = [
     ("gen walks --n 3 --k 1 --max-len 0 --seed 0", "max_len must be at least 1"),
     ("gen dag --n 3 --p 2.0 --seed 0", "edge probability 2.0 outside [0, 1]"),
     ("gen dag --n 4194305 --p 0 --seed 1", "vertex count 4194305 exceeds the limit 4194304"),
+    ("gen walks --n 3 --k 4097 --max-len 1024 --seed 0",
+     "k * max_len = 4195328 exceeds the limit 4194304"),
+    ("gen chain --n 4194305 --k 4", "vertex count 4194305 exceeds the limit 4194304"),
     ("gen chain --n 1 --k 1", "need at least 2 vertices"),
     ("gen chain --n 5 --k 5", "k must be in [1, 4]"),
     ("oracle --graph g.g --from 4 --to 0", "vertex 4 outside [0, 4)"),
@@ -505,10 +456,13 @@ DIAGNOSTICS = [
     ("oracle --decomp wide.walks --graph small.g --from 0 --to 1",
      "universe 2 smaller than implied vertex count 6"),
     ("oracle --from 0 --to 1", "oracle needs --decomp or --graph"),
-    ("bench --decomp d.walks --query 99,0", "source 99 outside [0, 11)"),
-    ("bench --decomp d.walks --query 0,11", "target 11 outside [0, 11)"),
-    ("bench --decomp d.walks --pairs -3", "pairs must be nonnegative"),
     ("decompose --graph cyc.g", "graph is not acyclic"),
+    ("decompose --graph split.g", "graph is not acyclic"),
+    ("validate --graph - --decomp - --paths", "stdin ('-') given for both --graph and --decomp"),
+    ("reach --decomp - --graph - --from 0 --to 1",
+     "stdin ('-') given for both --graph and --decomp"),
+    ("oracle --decomp - --graph - --from 0 --to 1",
+     "stdin ('-') given for both --graph and --decomp"),
 ]
 
 
@@ -614,8 +568,6 @@ STDOUT_LINE = {
     "decompose": WALK_LINE,
     "pathnum-lb": r"\d+",
     "oracle": r"REACHABLE( switches=\d+)?|UNREACHABLE",
-    "bench": r"n,k,total_len,query,reachable,switches,iterations,peak_words,nanos"
-             r"|\d+,\d+,\d+,\d+->\d+,[01],\d*,\d+,\d+,\d+",
     "gen walks": WALK_LINE,
     "gen chain": WALK_LINE,
     "gen dag": r"n \d+|e \d+ \d+",
@@ -668,16 +620,14 @@ def _command_lines(draw, graph, decomp):
         ["oracle", *draw(st.sampled_from(
             [[], ["--decomp", decomp], ["--graph", graph], ["--decomp", decomp, "--graph", graph]])),
          *ends],
-        ["bench", "--decomp", decomp, *draw(st.sampled_from(
-            [["--pairs", "2", "--seed", "1"], [f"--query={ends[1]},{ends[3]}"]]))],
+        [*draw(st.sampled_from([["validate", "--walks"], ["reach", *ends], ["oracle", *ends]])),
+         "--graph", "-", "--decomp", "-"],
         ["gen", "walks", "--n", draw(small), "--k", draw(small), "--max-len", draw(small),
          "--seed", draw(small)],
         ["gen", "chain", "--n", draw(small), "--k", draw(small)],
         ["gen", "dag", "--n", draw(small), "--p", str(draw(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.0]))),
          "--seed", draw(small)],
-        # Shapes argparse itself may reject: "-2,3" reads as an option, and
-        # --from needs an int.
-        ["bench", "--decomp", decomp, "--query", f"{ends[1]},{ends[3]}"],
+        # Shapes argparse itself may reject: --from needs an int.
         [draw(st.sampled_from(["reach", "min-switches", "oracle"])), "--decomp", decomp,
          "--from", draw(st.sampled_from(["x", "1.5", "", "-", "--to"])), "--to", ends[3]],
     ]

@@ -111,16 +111,24 @@ class TestMinimalDecomposition:
             minimal_path_decomposition(Digraph(2, [(0, 1), (1, 0)]))
 
     def test_cycle_with_simple_covering_traces_rejected(self):
-        # 1 -> 3 -> 1 is a cycle, yet the traces from the legal starts,
-        # (1, 3, 0) and (4, 3, 1, 2), are simple and cover all five edges:
-        # no check of coverage or revisits can stand in for the acyclicity
-        # check that minimal_path_decomposition makes first.
-        g = Digraph(5, [(4, 3), (3, 0), (3, 1), (1, 2), (1, 3)])
-        traces = numbered_cover(g)
-        assert list(traces) == [Walk([1, 3, 0]), Walk([4, 3, 1, 2])]
-        assert validate_path_decomposition(g, traces).ok
-        with pytest.raises(CyclicGraphError, match="^graph is not acyclic$"):
-            minimal_path_decomposition(g)
+        # Each graph has a cycle, 1 -> 3 -> 1 and 0 -> 1 -> 2 -> 9 -> 0, yet
+        # the traces from the legal starts are simple, cover every edge and
+        # are as many as the lower bound: no check of the traces can stand
+        # in for the acyclicity check that minimal_path_decomposition makes
+        # first.
+        cases = [
+            (Digraph(5, [(4, 3), (3, 0), (3, 1), (1, 2), (1, 3)]),
+             [Walk([1, 3, 0]), Walk([4, 3, 1, 2])]),
+            (Digraph(10, [(5, 0), (0, 1), (1, 2), (2, 6), (7, 2), (2, 9), (9, 0), (0, 8)]),
+             [Walk([5, 0, 1, 2, 6]), Walk([7, 2, 9, 0, 8])]),
+        ]
+        for g, walks in cases:
+            traces = numbered_cover(g)
+            assert list(traces) == walks
+            assert validate_path_decomposition(g, traces).ok
+            assert traces.k == path_number_lower_bound(g) == 2
+            with pytest.raises(CyclicGraphError, match="^graph is not acyclic$"):
+                minimal_path_decomposition(g)
 
     def test_edgeless(self):
         assert minimal_path_decomposition(Digraph(5)).k == 0

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathreach.decomposition import WalkDecomposition, format_decomposition, union_graph
+from pathreach.dagcover import minimal_path_decomposition
+from pathreach.decomposition import (
+    WalkDecomposition,
+    format_decomposition,
+    path_number_lower_bound,
+    union_graph,
+)
 from pathreach.graph import Digraph, format_graph, is_acyclic
 from pathreach.testkit import (
     InstanceSeed,
@@ -167,6 +173,19 @@ class TestBruteForce:
     def test_cycle_needs_two(self):
         # a 2-cycle cannot be one simple path
         assert brute_force_path_number(Digraph(2, [(0, 1), (1, 0)])) == 2
+
+    def test_relabelled_small_dags(self):
+        # iter_small_dags yields natural-order DAGs only, where the smallest
+        # edge's tail has no in-edge; reversing the labels lets the search
+        # also extend a path backwards from that tail.
+        count = 0
+        for n in range(1, 6):
+            for g in iter_small_dags(n):
+                r = Digraph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges])
+                assert (brute_force_path_number(r) == path_number_lower_bound(r)
+                        == minimal_path_decomposition(r).k)
+                count += 1
+        assert count == 1099
 
     def test_small_dag_enumeration(self):
         counts = [sum(1 for _ in iter_small_dags(n)) for n in range(4)]
