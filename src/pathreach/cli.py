@@ -25,7 +25,7 @@ from .decomposition import (
     validate_path_decomposition,
     validate_walk_decomposition,
 )
-from .graph import Digraph, GraphFormatError, format_graph, parse_graph
+from .graph import GraphFormatError, format_graph, parse_graph
 from .reach import decide_reachability
 from .testkit import (
     InstanceSeed,
@@ -50,6 +50,8 @@ class _InputError(Exception):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise _InputError("cannot read -: stdin is closed")
             # Decode stdin as strict UTF-8 like files, whatever the locale.
             raw = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
@@ -61,17 +63,11 @@ def _read_text(path: str) -> str:
         raise _InputError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
-def _load_graph(path: str) -> Digraph:
+def _load(path: str, parse):
+    """parse(text of path), with a format error reported as an input error."""
     try:
-        return parse_graph(_read_text(path))
-    except GraphFormatError as exc:
-        raise _InputError(f"{path}: {exc}") from None
-
-
-def _load_decomposition(path: str) -> WalkDecomposition:
-    try:
-        return parse_decomposition(_read_text(path))
-    except DecompositionFormatError as exc:
+        return parse(_read_text(path))
+    except (GraphFormatError, DecompositionFormatError) as exc:
         raise _InputError(f"{path}: {exc}") from None
 
 
@@ -87,10 +83,10 @@ def _call(fn, *args, **kwargs):
 def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
     """Load the decomposition and, when a graph is given, validate coverage
     against it first and use its vertex count as the universe."""
-    w = _load_decomposition(args.decomp)
+    w = _load(args.decomp, parse_decomposition)
     if args.graph is None:
         return w, None
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     report = validate_walk_decomposition(g, w)
     if not report.ok:
         raise _InputError(
@@ -100,8 +96,8 @@ def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
 
 
 def _cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    w = _load_decomposition(args.decomp)
+    g = _load(args.graph, parse_graph)
+    w = _load(args.decomp, parse_decomposition)
     if args.paths:
         report = validate_path_decomposition(g, w)
     else:
@@ -130,13 +126,13 @@ def _cmd_reach(args) -> int:
 
 def _cmd_decompose(args) -> int:
     # A cyclic graph raises CyclicGraphError, whose message is the diagnostic.
-    cover = _call(minimal_path_decomposition, _load_graph(args.graph))
+    cover = _call(minimal_path_decomposition, _load(args.graph, parse_graph))
     sys.stdout.write(format_decomposition(cover))
     return ExitStatus.OK
 
 
 def _cmd_pathnum_lb(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, parse_graph)
     print(path_number_lower_bound(g))
     return ExitStatus.OK
 
@@ -159,7 +155,7 @@ def _cmd_oracle(args) -> int:
         reachable = count is not None
         print(f"REACHABLE switches={count}" if reachable else "UNREACHABLE")
     elif args.graph is not None:
-        reachable = _call(oracle_reachable, _load_graph(args.graph), args.src, args.dst)
+        reachable = _call(oracle_reachable, _load(args.graph, parse_graph), args.src, args.dst)
         print("REACHABLE" if reachable else "UNREACHABLE")
     else:
         raise _InputError("oracle needs --decomp or --graph")

@@ -19,7 +19,7 @@ from itertools import chain, compress, filterfalse, islice, repeat
 from operator import eq, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import Digraph, Edge, _edge_keys, _key_ends, _step_keys
+from .graph import Digraph, Edge, _edge_keys, _key_ends, _lines, _step_keys
 
 
 class DecompositionFormatError(ValueError):
@@ -123,13 +123,9 @@ class WalkDecomposition:
         return len(self._paths)
 
     @cached_property
-    def max_vertex(self) -> int:
-        """Largest vertex id used by any walk, or -1 for an empty family."""
-        return max(chain.from_iterable(self._paths), default=-1)
-
-    @property
     def implied_vertex_count(self) -> int:
-        return self.max_vertex + 1
+        """One more than the largest vertex id of any walk; 0 for an empty family."""
+        return max(chain.from_iterable(self._paths), default=-1) + 1
 
     @cached_property
     def occurrences(self) -> dict[int, tuple[tuple[int, int], ...]]:
@@ -189,15 +185,15 @@ class ValidationReport:
 
 def union_graph(w: WalkDecomposition, n: int) -> Digraph:
     """Digraph on n vertices whose edges are the deduplicated steps of w."""
-    if w.max_vertex >= n:
-        raise ValueError(f"walk vertex {w.max_vertex} outside [0, {n})")
+    if w.implied_vertex_count > n:
+        raise ValueError(f"walk vertex {w.implied_vertex_count - 1} outside [0, {n})")
     return Digraph._checked(n, tuple(sorted(set(_step_keys(n, w._paths)))))
 
 
 def _keyed(g: Digraph, w: WalkDecomposition) -> tuple[int, tuple[int, ...]]:
     """A base above every vertex id of g and w, and g's edge keys u * base + v:
     on it a step with an id of n or more names no edge, and keys sort as pairs."""
-    base = max(g.n, w.max_vertex + 1)
+    base = max(g.n, w.implied_vertex_count)
     return base, g._keys if base == g.n else tuple(_edge_keys(base, *_key_ends(g.n, g._keys)))
 
 
@@ -316,7 +312,7 @@ def _parse_lines(text: str) -> WalkDecomposition:
     """parse_decomposition line by line, for any text; the source of every
     diagnostic."""
     paths: list[tuple[int, ...]] = []
-    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+    for lineno, tokens in enumerate(map(str.split, _lines(text)), start=1):
         if not tokens or tokens[0].startswith("#"):
             continue
         try:

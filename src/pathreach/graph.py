@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from collections import defaultdict
 from itertools import islice, repeat
 from operator import add, eq, floordiv, lt, mod, mul
@@ -98,16 +97,6 @@ class Digraph:
         """In-neighbors of v in ascending order."""
         self._check_vertex(v)
         return self._adjacency()[1].get(v, ())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """True iff (u, v) is an edge; ids outside [0, n) are on none, even
-        where u * n + v is the key of another edge."""
-        n, keys = self._n, self._keys
-        if not (0 <= u < n and 0 <= v < n):
-            return False
-        key = u * n + v
-        i = bisect_left(keys, key)
-        return i < len(keys) and keys[i] == key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -239,11 +228,17 @@ def _parse_canonical(match: re.Match[str]) -> Digraph | None:
     return Digraph._checked(n, keys)
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of a file text: LF, CRLF and CR end a line, and nothing
+    else does (str.splitlines also breaks at a form feed or U+2028)."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_lines(text: str) -> Digraph:
     """parse_graph line by line, for any text; the source of every diagnostic."""
     n: int | None = None
     keys: set[int] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
             try:

@@ -1,13 +1,15 @@
 """The public API is what README documents, and the oracles stay independent.
 
-Every name `pathreach` exports must appear in README.md, and README's
-library example must run as shown; the names of the retired test-only API
-must not come back; and `pathreach.testkit`, which supplies the oracles the
-engine is checked against, must not import the engine (`reach`) or the
-cover (`dagcover`).
+Every name `pathreach` exports, and every public method and property of
+an exported class, must appear in README.md, and README's library example
+must run as shown; the names of the retired API must not come back; and
+`pathreach.testkit`, which supplies the oracles the engine is checked
+against, must not import the engine (`reach`) or the cover (`dagcover`).
 """
 
 import ast
+import functools
+import inspect
 import re
 from pathlib import Path
 
@@ -31,12 +33,44 @@ RETIRED = (
     "degrees",
     "DegreePair",
 )
+RETIRED_MEMBERS = (("Digraph", "has_edge"), ("WalkDecomposition", "max_vertex"))
+
+
+def _readme_spans() -> list[str]:
+    """README's inline code spans, outside its fenced code blocks."""
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.S | re.M)
+    return re.findall(r"`([^`]+)`", prose)
+
+
+def _class_members():
+    """(class, member) for every public function, property and cached
+    property in the own namespace of an exported class."""
+    for name in pathreach.__all__:
+        cls = getattr(pathreach, name)
+        if inspect.isclass(cls):
+            for member, obj in vars(cls).items():
+                if not member.startswith("_") and (inspect.isfunction(obj) or isinstance(
+                        obj, (property, functools.cached_property))):
+                    yield name, member
 
 
 @pytest.mark.parametrize("name", pathreach.__all__)
 def test_exported_name_is_documented(name):
     assert re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", README.read_text()), (
         f"{name} is exported but README.md does not mention it")
+
+
+@pytest.mark.parametrize("cls, member", list(_class_members()))
+def test_class_member_is_documented(cls, member):
+    # The span is the member itself, maybe qualified by its class or called.
+    pattern = re.compile(rf"(?:{cls}\.)?{member}(?:\(.*\))?")
+    assert any(map(pattern.fullmatch, _readme_spans())), (
+        f"{cls}.{member} is public but no README code span names it")
+
+
+@pytest.mark.parametrize("cls, member", RETIRED_MEMBERS)
+def test_retired_member_is_gone(cls, member):
+    assert not hasattr(getattr(pathreach, cls), member)
 
 
 def test_all_lists_every_export():

@@ -301,7 +301,7 @@ class TestGen:
         run(["gen", "walks", "--n", "9", "--k", "3", "--max-len", "6", "--seed", "4"])
         assert capsys.readouterr().out == first
         w = parse_decomposition(first)
-        assert w.k == 3 and w.max_vertex < 9
+        assert w.k == 3 and w.implied_vertex_count <= 9
 
     def test_chain_roundtrip(self, capsys):
         assert run(["gen", "chain", "--n", "12", "--k", "3"]) == 0
@@ -400,6 +400,16 @@ class TestPlumbing:
         assert proc.returncode == 2
         assert proc.stderr.decode().splitlines() == [
             "error: -: not valid UTF-8 (invalid start byte)"]
+
+    @pytest.mark.parametrize("args", [
+        ["reach", "--decomp", "-", "--from", "0", "--to", "1"],
+        ["validate", "--graph", "-", "--decomp", "d.walks", "--paths"],
+    ])
+    def test_closed_stdin(self, args, capsys, monkeypatch):
+        # Python sets sys.stdin to None when the process starts without fd 0.
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "error: cannot read -: stdin is closed\n")
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         import io

@@ -62,7 +62,7 @@ class TestUnionGraph:
         assert g.n == 4 and g.edge_count == 0
         # The empty family uses no vertex id, so it fits on no vertices.
         empty = WalkDecomposition()
-        assert empty.max_vertex == -1 and empty.implied_vertex_count == 0
+        assert empty.implied_vertex_count == 0
         assert union_graph(empty, 0).n == 0
 
     def test_out_of_range(self):
@@ -265,6 +265,10 @@ DECOMPOSITION_ACCEPTED = [
     ("0 1 \n", [(0, 1)]),
     ("\u0661 2\n", [(1, 2)]),
     ("0  1\r\n\n# c\n+2 1\n", [(0, 1), (2, 1)]),
+    # Only LF, CRLF and CR end a line; a form feed or U+2028 is whitespace.
+    ("0 1\x0c2\n", [(0, 1, 2)]),
+    ("0 1\u20282 3\n", [(0, 1, 2, 3)]),
+    ("0 1\r2 3\r", [(0, 1), (2, 3)]),
 ]
 
 
@@ -357,7 +361,7 @@ def path_decompositions(draw):
 @given(path_decompositions())
 @settings(max_examples=100, deadline=None)
 def test_valid_path_decomposition_properties(p):
-    n = p.max_vertex + 1 if p.k else 1
+    n = p.implied_vertex_count or 1
     g = union_graph(p, n)
     report = validate_path_decomposition(g, p)
     assert report.ok

@@ -101,7 +101,7 @@ class TestGenerators:
         w = gen_decomposed_instance(InstanceSeed(n=20, k=4, max_len=10, seed=42))
         assert w.k == 4
         assert all(1 <= len(walk) <= 10 for walk in w)
-        assert w.max_vertex < 20
+        assert w.implied_vertex_count <= 20
         union_graph(w, 20)  # no loop steps, ids in range
 
     def test_reproducible(self):
