@@ -61,6 +61,8 @@ def _read_text(path: str) -> str:
         raise _InputError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    except ValueError as exc:  # open() refuses a path with a NUL byte
+        raise _InputError(f"cannot read {path}: {exc}") from None
 
 
 def _load(path: str, parse):

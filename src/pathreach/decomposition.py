@@ -5,6 +5,10 @@ edges it uses; it may revisit vertices.  A family of walks covers a
 graph when the union of its steps equals the graph's edge set.  The
 stricter path form additionally requires every walk to be a simple path
 and every edge to be used exactly once.
+
+A WalkDecomposition holds only its walks' int vertex tuples.  Walk checks
+each walk it is built from; the parsers and the DAG cover build a family
+from tuples they have checked themselves.
 """
 
 from __future__ import annotations
@@ -26,54 +30,36 @@ class DecompositionFormatError(ValueError):
     """A decomposition file could not be parsed."""
 
 
+@dataclass(frozen=True, slots=True)
 class Walk:
     """Directed walk given as a nonempty vertex sequence without loop steps."""
 
-    __slots__ = ("_vertices",)
+    vertices: tuple[int, ...]
 
-    def __init__(self, vertices: Iterable[int]) -> None:
-        vs = tuple(map(int, vertices))
+    def __post_init__(self) -> None:
+        vs = tuple(map(int, self.vertices))
         _check_walk(vs)
-        self._vertices = vs
-
-    @classmethod
-    def _checked(cls, vertices: tuple[int, ...]) -> "Walk":
-        """Walk on an int tuple already known to pass _check_walk."""
-        walk = cls.__new__(cls)
-        walk._vertices = vertices
-        return walk
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return self._vertices
+        object.__setattr__(self, "vertices", vs)
 
     @property
     def is_simple(self) -> bool:
         """True iff no vertex repeats, i.e. the walk is a simple path."""
-        return len(set(self._vertices)) == len(self._vertices)
+        return len(set(self.vertices)) == len(self.vertices)
 
     def steps(self) -> Iterator[Edge]:
-        return zip(self._vertices, self._vertices[1:])
+        return zip(self.vertices, self.vertices[1:])
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     def __getitem__(self, i: int) -> int:
-        return self._vertices[i]
+        return self.vertices[i]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._vertices)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Walk):
-            return NotImplemented
-        return self._vertices == other._vertices
-
-    def __hash__(self) -> int:
-        return hash(self._vertices)
+        return iter(self.vertices)
 
     def __repr__(self) -> str:
-        return f"Walk({list(self._vertices)})"
+        return f"Walk({list(self.vertices)})"
 
 
 def _check_walk(vs: tuple[int, ...]) -> None:
@@ -81,42 +67,36 @@ def _check_walk(vs: tuple[int, ...]) -> None:
     emptiness, then a negative id, then a loop step."""
     if not vs:
         raise ValueError("a walk needs at least one vertex")
-    if min(vs) < 0:
-        v = next(v for v in vs if v < 0)
-        raise ValueError(f"negative vertex id {v}")
-    if any(map(eq, vs, vs[1:])):
-        v = next(a for a, b in zip(vs, vs[1:]) if a == b)
-        raise ValueError(f"loop step ({v}, {v}) is not allowed")
+    for v in vs:
+        if v < 0:
+            raise ValueError(f"negative vertex id {v}")
+    for u, v in zip(vs, vs[1:]):
+        if u == v:
+            raise ValueError(f"loop step ({v}, {v}) is not allowed")
 
 
 class WalkDecomposition:
-    """An ordered family of walks.
+    """An ordered family of walks, held as the walks' vertex tuples.
 
-    The family is held as the walks' vertex tuples; the Walk objects of
-    the public view are built on first use.  The derived occurrence index
-    (per vertex, its last position in each walk that contains it) is
-    built lazily and cached; it is query-independent input
+    The Walk objects of the public view and the derived occurrence index
+    (per vertex, its last position in each walk that contains it) are
+    built on first use and cached; the index is query-independent input
     representation, shared by all reachability queries on the instance.
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
-        self._walks: tuple[Walk, ...] | None = tuple(
-            w if isinstance(w, Walk) else Walk(w) for w in walks)
-        self._paths = tuple(w.vertices for w in self._walks)
+        self._paths = tuple(Walk(w).vertices for w in walks)
 
     @classmethod
     def _checked(cls, paths: Iterable[tuple[int, ...]]) -> "WalkDecomposition":
         """Family of int vertex tuples already known to pass _check_walk."""
         w = cls.__new__(cls)
-        w._walks = None
         w._paths = tuple(paths)
         return w
 
-    @property
+    @cached_property
     def walks(self) -> tuple[Walk, ...]:
-        if self._walks is None:
-            self._walks = tuple(map(Walk._checked, self._paths))
-        return self._walks
+        return tuple(map(Walk, self._paths))
 
     @property
     def k(self) -> int:
@@ -227,15 +207,13 @@ def validate_path_decomposition(g: Digraph, p: WalkDecomposition) -> ValidationR
     # used once and no step leaves the graph.
     keys = sorted(_step_keys(base, paths))
     if tuple(keys) != edges:
-        used = set(keys)
-        stray, missed = _coverage_violations(edges, used, base, "path")
+        stray, missed = _coverage_violations(edges, set(keys), base, "path")
         violations += stray
-        if len(used) < len(keys):
-            usage = Counter(keys)
-            repeated = {key for key, c in usage.items() if c > 1}.intersection(edges)
-            violations += [Violation(ViolationKind.EDGE_REPEATED,
-                                     f"edge {divmod(key, base)} is used {usage[key]} times")
-                           for key in sorted(repeated)]
+        usage = Counter(keys)
+        repeated = {key for key, c in usage.items() if c > 1}.intersection(edges)
+        violations += [Violation(ViolationKind.EDGE_REPEATED,
+                                 f"edge {divmod(key, base)} is used {usage[key]} times")
+                       for key in sorted(repeated)]
         violations += missed
     return ValidationReport(tuple(violations))
 

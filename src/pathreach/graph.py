@@ -41,15 +41,19 @@ class Digraph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        columns = list(zip(*edges)) or [(), ()]
-        us, vs = (list(map(int, column)) for column in columns)
-        if us and (any(map(eq, us, vs)) or min(min(us), min(vs)) < 0
-                   or max(max(us), max(vs)) >= n):
-            _reject_first_bad_edge(n, zip(us, vs))
-        keys = sorted(_edge_keys(n, us, vs))
-        if any(map(eq, keys, keys[1:])):  # a repeated edge counts once
-            keys = sorted(set(keys))
-        self._init(n, tuple(keys))
+        keys: set[int] = set()  # a repeated edge counts once
+        bad: list[Edge] = []
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                bad.append((u, v))
+            keys.add(u * n + v)
+        if bad:  # the smallest bad edge is reported
+            u, v = min(bad)
+            if u == v:
+                raise ValueError(f"loop edge ({u}, {v}) is not allowed")
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+        self._init(n, tuple(sorted(keys)))
 
     @classmethod
     def _checked(cls, n: int, keys: tuple[int, ...]) -> "Digraph":
@@ -147,15 +151,6 @@ def _build_adjacency(n: int, keys: tuple[int, ...]) -> tuple[_Adjacency, _Adjace
     return succ, pred
 
 
-def _reject_first_bad_edge(n: int, edges: Iterable[Edge]) -> None:
-    """Raise for the smallest loop or out-of-range edge."""
-    for u, v in sorted(edges):
-        if u == v:
-            raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-
-
 def is_acyclic(g: Digraph) -> bool:
     """True iff g contains no directed cycle (iterative Kahn peeling).
 
@@ -241,10 +236,7 @@ def _parse_lines(text: str) -> Digraph:
     for lineno, raw in enumerate(_lines(text), start=1):
         parts = raw.split()
         if len(parts) == 3 and parts[0] == "e" and n is not None:
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:  # _parse_int names the first token that is not one
-                u, v = _parse_int(parts[1], lineno), _parse_int(parts[2], lineno)
+            u, v = _parse_int(parts[1], lineno), _parse_int(parts[2], lineno)
             if u == v:
                 raise GraphFormatError(f"line {lineno}: loop edge ({u}, {v})")
             if not (0 <= u < n and 0 <= v < n):

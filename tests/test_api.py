@@ -8,6 +8,7 @@ against, must not import the engine (`reach`) or the cover (`dagcover`).
 """
 
 import ast
+import dataclasses
 import functools
 import inspect
 import re
@@ -43,11 +44,14 @@ def _readme_spans() -> list[str]:
 
 
 def _class_members():
-    """(class, member) for every public function, property and cached
-    property in the own namespace of an exported class."""
+    """(class, member) for every field of an exported dataclass, and every
+    public function, property and cached property in the own namespace of
+    an exported class."""
     for name in pathreach.__all__:
         cls = getattr(pathreach, name)
         if inspect.isclass(cls):
+            if dataclasses.is_dataclass(cls):
+                yield from ((name, field.name) for field in dataclasses.fields(cls))
             for member, obj in vars(cls).items():
                 if not member.startswith("_") and (inspect.isfunction(obj) or isinstance(
                         obj, (property, functools.cached_property))):

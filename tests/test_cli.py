@@ -375,6 +375,16 @@ class TestPlumbing:
         assert run(["pathnum-lb", "--graph", "/nonexistent/x.g"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("args", [
+        ["pathnum-lb", "--graph", "a\x00b"],
+        ["validate", "--graph", "a\x00b", "--decomp", "d.walks", "--paths"],
+        ["reach", "--decomp", "a\x00b", "--from", "0", "--to", "1"],
+    ])
+    def test_path_with_nul_byte(self, args, capsys):
+        # open() refuses such a path with ValueError, not OSError.
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "error: cannot read a\x00b: embedded null byte\n")
+
     def test_parse_failure_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.g"
         bad.write_text("e 0 1\n")

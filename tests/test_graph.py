@@ -239,6 +239,28 @@ class TestDigraph:
         with pytest.raises(ValueError):
             Digraph(2, [(-1, 0)])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        # A loop and an out-of-range edge in either order: the smallest wins.
+        (3, [(2, 2), (0, 5)], "edge (0, 5) has an endpoint outside [0, 3)"),
+        (3, [(0, 5), (2, 2)], "edge (0, 5) has an endpoint outside [0, 3)"),
+        (3, [(0, 0), (1, 7)], "loop edge (0, 0) is not allowed"),
+        (3, [(1, 7), (0, 0)], "loop edge (0, 0) is not allowed"),
+        (3, [(5, 5)], "loop edge (5, 5) is not allowed"),
+        (3, [(0, 1), (1, -2)], "edge (1, -2) has an endpoint outside [0, 3)"),
+        (3, [(0, 1), (-1, 0)], "edge (-1, 0) has an endpoint outside [0, 3)"),
+        (-1, [], "vertex count must be nonnegative, got -1"),
+    ])
+    def test_construction_message(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Digraph(n, edges)
+        assert str(info.value) == message
+
+    def test_repeated_edge_counts_once(self):
+        g = Digraph(3, [(0, 1), (1, 2), (0, 1), ("1", "2")])
+        assert g == Digraph(3, [(0, 1), (1, 2)])
+        assert g.edge_count == 2
+        assert g.edges == {(0, 1), (1, 2)}
+
     def test_adjacency_sorted(self):
         g = Digraph(4, [(0, 3), (0, 1), (0, 2), (2, 0)])
         assert g.successors(0) == (1, 2, 3)
