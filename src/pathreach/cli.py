@@ -73,15 +73,6 @@ def _load(path: str, parse):
         raise _InputError(f"{path}: {exc}") from None
 
 
-def _call(fn, *args, **kwargs):
-    """fn(*args, **kwargs), with a ValueError the library raises for an
-    argument out of its range reported as an input error."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from None
-
-
 def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
     """Load the decomposition and, when a graph is given, validate coverage
     against it first and use its vertex count as the universe."""
@@ -115,7 +106,7 @@ def _cmd_validate(args) -> int:
 def _cmd_reach(args) -> int:
     """reach and min-switches: one query, formatted by command."""
     w, n = _checked_universe(args)
-    res = _call(decide_reachability, w, args.src, args.dst, n=n)
+    res = decide_reachability(w, args.src, args.dst, n=n)
     if args.command == "min-switches":
         print(res.min_switches if res.reachable else "UNREACHABLE")
     elif res.reachable:
@@ -128,7 +119,7 @@ def _cmd_reach(args) -> int:
 
 def _cmd_decompose(args) -> int:
     # A cyclic graph raises CyclicGraphError, whose message is the diagnostic.
-    cover = _call(minimal_path_decomposition, _load(args.graph, parse_graph))
+    cover = minimal_path_decomposition(_load(args.graph, parse_graph))
     sys.stdout.write(format_decomposition(cover))
     return ExitStatus.OK
 
@@ -141,23 +132,23 @@ def _cmd_pathnum_lb(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "walks":
-        spec = _call(InstanceSeed, n=args.n, k=args.k, max_len=args.max_len, seed=args.seed)
+        spec = InstanceSeed(n=args.n, k=args.k, max_len=args.max_len, seed=args.seed)
         sys.stdout.write(format_decomposition(gen_decomposed_instance(spec)))
     elif args.kind == "chain":
-        sys.stdout.write(format_decomposition(_call(switch_chain, args.n, args.k)))
+        sys.stdout.write(format_decomposition(switch_chain(args.n, args.k)))
     else:
-        sys.stdout.write(format_graph(_call(gen_random_dag, args.n, args.p, args.seed)))
+        sys.stdout.write(format_graph(gen_random_dag(args.n, args.p, args.seed)))
     return ExitStatus.OK
 
 
 def _cmd_oracle(args) -> int:
     if args.decomp is not None:
         w, n = _checked_universe(args)
-        count = _call(oracle_min_switches, w, args.src, args.dst, n=n)
+        count = oracle_min_switches(w, args.src, args.dst, n=n)
         reachable = count is not None
         print(f"REACHABLE switches={count}" if reachable else "UNREACHABLE")
     elif args.graph is not None:
-        reachable = _call(oracle_reachable, _load(args.graph, parse_graph), args.src, args.dst)
+        reachable = oracle_reachable(_load(args.graph, parse_graph), args.src, args.dst)
         print("REACHABLE" if reachable else "UNREACHABLE")
     else:
         raise _InputError("oracle needs --decomp or --graph")
@@ -244,7 +235,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "graph", None) == "-" == getattr(args, "decomp", None):
             raise _InputError("stdin ('-') given for both --graph and --decomp")
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, ValueError) as exc:
+        # A ValueError from the library names an argument out of its range.
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.USAGE
     except BrokenPipeError:

@@ -49,5 +49,5 @@ def minimal_path_decomposition(g: Digraph) -> WalkDecomposition:
                 z = continuations[y].get(u)
             paths.append(tuple(path))
     # g is acyclic, so every trace ends without a length guard, as a simple
-    # path of int ids that passes every check of Walk.__init__.
+    # path of int ids that passes every check of _check_walk.
     return WalkDecomposition._checked(paths)

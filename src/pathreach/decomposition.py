@@ -6,9 +6,11 @@ graph when the union of its steps equals the graph's edge set.  The
 stricter path form additionally requires every walk to be a simple path
 and every edge to be used exactly once.
 
-A WalkDecomposition holds only its walks' int vertex tuples.  Walk checks
-each walk it is built from; the parsers and the DAG cover build a family
-from tuples they have checked themselves.
+A WalkDecomposition holds only its walks' int vertex tuples, and each
+walk is checked once, where it enters: in Walk, in WalkDecomposition for an
+item that is not a Walk, or in a parser or the DAG cover, which build a
+family from tuples they have checked themselves.  The Walk views of a
+family are built on first use without a second check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, compress, filterfalse, islice, repeat
-from operator import eq, lt
+from operator import eq, index, lt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Digraph, Edge, _edge_keys, _key_ends, _lines, _step_keys
@@ -37,9 +39,16 @@ class Walk:
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        vs = tuple(map(int, self.vertices))
+        vs = tuple(map(index, self.vertices))
         _check_walk(vs)
         object.__setattr__(self, "vertices", vs)
+
+    @classmethod
+    def _checked(cls, vertices: tuple[int, ...]) -> "Walk":
+        """Walk on an int vertex tuple already known to pass _check_walk."""
+        walk = cls.__new__(cls)
+        object.__setattr__(walk, "vertices", vertices)
+        return walk
 
     @property
     def is_simple(self) -> bool:
@@ -85,7 +94,7 @@ class WalkDecomposition:
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
-        self._paths = tuple(Walk(w).vertices for w in walks)
+        self._paths = tuple((w if isinstance(w, Walk) else Walk(w)).vertices for w in walks)
 
     @classmethod
     def _checked(cls, paths: Iterable[tuple[int, ...]]) -> "WalkDecomposition":
@@ -96,7 +105,7 @@ class WalkDecomposition:
 
     @cached_property
     def walks(self) -> tuple[Walk, ...]:
-        return tuple(map(Walk, self._paths))
+        return tuple(map(Walk._checked, self._paths))
 
     @property
     def k(self) -> int:
@@ -115,11 +124,11 @@ class WalkDecomposition:
         vertex in that walk.  Only vertices that occur are keys, so the
         index is sized by the input, not by the largest vertex id.
         """
-        index: dict[int, list[tuple[int, int]]] = {}
+        by_vertex: dict[int, list[tuple[int, int]]] = {}
         for i, vs in enumerate(self._paths):
             for v, last in dict(zip(vs, range(len(vs)))).items():
-                index.setdefault(v, []).append((i, last))
-        return {v: tuple(entries) for v, entries in index.items()}
+                by_vertex.setdefault(v, []).append((i, last))
+        return {v: tuple(entries) for v, entries in by_vertex.items()}
 
     def __len__(self) -> int:
         return len(self._paths)
@@ -165,6 +174,8 @@ class ValidationReport:
 
 def union_graph(w: WalkDecomposition, n: int) -> Digraph:
     """Digraph on n vertices whose edges are the deduplicated steps of w."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if w.implied_vertex_count > n:
         raise ValueError(f"walk vertex {w.implied_vertex_count - 1} outside [0, {n})")
     return Digraph._checked(n, tuple(sorted(set(_step_keys(n, w._paths)))))

@@ -14,7 +14,7 @@ import json
 import re
 from collections import defaultdict
 from itertools import islice, repeat
-from operator import add, eq, floordiv, lt, mod, mul
+from operator import add, eq, floordiv, index, lt, mod, mul
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -44,7 +44,7 @@ class Digraph:
         keys: set[int] = set()  # a repeated edge counts once
         bad: list[Edge] = []
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = index(u), index(v)
             if u == v or not (0 <= u < n and 0 <= v < n):
                 bad.append((u, v))
             keys.add(u * n + v)

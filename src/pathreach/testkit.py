@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .decomposition import Walk, WalkDecomposition
+from .decomposition import WalkDecomposition
 from .graph import _MAX_VERTEX_COUNT, Digraph, Edge
 
 
@@ -79,12 +79,13 @@ def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
     free, and s costs 0 even when it occurs nowhere.  Keyed by vertex, so
     the result is sized by the input, not by the largest vertex id.
     """
+    paths = w._paths
     occ: dict[int, list[tuple[int, int]]] = {}
-    for i, walk in enumerate(w):
-        for p, v in enumerate(walk.vertices):
+    for i, vs in enumerate(paths):
+        for p, v in enumerate(vs):
             occ.setdefault(v, []).append((i, p))
 
-    dist = [[None] * len(walk) for walk in w]
+    dist = [[None] * len(vs) for vs in paths]
     queue: deque[tuple[int, int, int]] = deque()
     for i, p in occ.get(s, []):
         dist[i][p] = 0
@@ -94,19 +95,17 @@ def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
         if dist[i][p] != cost:
             continue
         nxt = p + 1
-        if nxt < len(w[i]) and (dist[i][nxt] is None or dist[i][nxt] > cost):
+        if nxt < len(paths[i]) and (dist[i][nxt] is None or dist[i][nxt] > cost):
             dist[i][nxt] = cost
             queue.appendleft((cost, i, nxt))
-        for j, q in occ[w[i][p]]:
+        for j, q in occ[paths[i][p]]:
             if (j, q) != (i, p) and (dist[j][q] is None or dist[j][q] > cost + 1):
                 dist[j][q] = cost + 1
                 queue.append((cost + 1, j, q))
 
     best = {s: 0}
-    for i, walk in enumerate(w):
-        row = dist[i]
-        for p, v in enumerate(walk.vertices):
-            c = row[p]
+    for vs, row in zip(paths, dist):
+        for v, c in zip(vs, row):
             if c is not None and (v not in best or c < best[v]):
                 best[v] = c
     return best
@@ -165,7 +164,7 @@ def numbered_cover(g: Digraph, rng: random.Random | None = None) -> WalkDecompos
             verts.append(v)
         if len(set(verts)) < len(verts):
             raise ValueError(f"trace {verts} revisits a vertex")
-        walks.append(Walk(verts))
+        walks.append(verts)
     return WalkDecomposition(walks)
 
 
@@ -187,7 +186,7 @@ def gen_decomposed_instance(spec: InstanceSeed) -> WalkDecomposition:
                 while nxt == seq[-1]:
                     nxt = rng.randrange(spec.n)
                 seq.append(nxt)
-        walks.append(Walk(seq))
+        walks.append(seq)
     return WalkDecomposition(walks)
 
 
@@ -232,7 +231,7 @@ def switch_chain(n: int, k: int) -> WalkDecomposition:
         seq: list[int] = []
         for a in reversed(segs):
             seq.extend((a, a + 1))
-        walks.append(Walk(seq))
+        walks.append(seq)
     return WalkDecomposition(walks)
 
 
@@ -242,10 +241,7 @@ def switch_ring(k: int) -> WalkDecomposition:
     walks 1..k-1 hold one middle segment each."""
     if k < 1:
         raise ValueError("need at least 1 walk")
-    walks = [Walk([k, k + 1, 0, 1])]
-    for i in range(1, k):
-        walks.append(Walk([i, i + 1]))
-    return WalkDecomposition(walks)
+    return WalkDecomposition([[k, k + 1, 0, 1], *([i, i + 1] for i in range(1, k))])
 
 
 def _extensions(edges: frozenset[Edge], at: int, blocked: frozenset[int],

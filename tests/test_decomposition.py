@@ -71,6 +71,12 @@ class TestUnionGraph:
         with pytest.raises(ValueError, match=r"^walk vertex 3 outside \[0, 3\)$"):
             union_graph(WalkDecomposition([[0, 3]]), 3)
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -1$"):
+            union_graph(WalkDecomposition(), -1)
+        with pytest.raises(ValueError, match=r"^vertex count must be nonnegative, got -2$"):
+            union_graph(WalkDecomposition([[0, 1]]), -2)
+
     def test_single_vertex_walks_add_nothing(self):
         g = union_graph(WalkDecomposition([[2], [0, 1]]), 3)
         assert g.edges == {(0, 1)}
@@ -327,12 +333,44 @@ def test_walk_diagnostic(vertices, message):
     assert str(info.value) == message
 
 
+# A float or str id raises instead of being truncated or split into digits.
+@pytest.mark.parametrize("build", [
+    lambda: Walk([0.5, 1.7]),
+    lambda: Walk(["1", "2"]),
+    lambda: WalkDecomposition(["12", "3"]),
+    lambda: Digraph(5, ["12"]),
+    lambda: Digraph(5, [(0, 1.0)]),
+], ids=["walk-float", "walk-str", "family-str", "digraph-str", "digraph-float"])
+def test_non_integer_id_raises_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def walk_families(max_id=2**40):
     # Vertex lists with consecutive repeats collapsed, so no loop steps.
     def walk(vs):
         return [v for i, v in enumerate(vs) if i == 0 or vs[i - 1] != v]
     vertex_lists = st.lists(st.integers(min_value=0, max_value=max_id), min_size=1)
     return st.lists(vertex_lists.map(walk)).map(WalkDecomposition)
+
+
+@given(walk_families())
+@settings(max_examples=100, deadline=None)
+def test_each_walk_is_checked_once(w):
+    walks = [Walk(vs) for vs in w._paths]
+    checked = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "_check_walk", checked.append)
+        # A plain sequence is checked where it enters the family...
+        assert WalkDecomposition(map(list, w._paths)) == w
+        assert len(checked) == w.k
+        checked.clear()
+        # ...and the views, iteration, indexing and a family built from
+        # existing Walks check nothing again.
+        assert w.walks == tuple(walks)
+        assert list(w) == [w[i] for i in range(w.k)] == walks
+        assert WalkDecomposition(walks) == WalkDecomposition(w) == w
+        assert not checked
 
 
 @given(walk_families())

@@ -256,10 +256,12 @@ class TestDigraph:
         assert str(info.value) == message
 
     def test_repeated_edge_counts_once(self):
-        g = Digraph(3, [(0, 1), (1, 2), (0, 1), ("1", "2")])
+        g = Digraph(3, [(0, 1), (1, 2), (0, 1), (1, 2)])
         assert g == Digraph(3, [(0, 1), (1, 2)])
         assert g.edge_count == 2
         assert g.edges == {(0, 1), (1, 2)}
+        with pytest.raises(TypeError):
+            Digraph(3, [(0, 1), ("1", "2")])
 
     def test_adjacency_sorted(self):
         g = Digraph(4, [(0, 3), (0, 1), (0, 2), (2, 0)])

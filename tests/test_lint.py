@@ -1,9 +1,11 @@
-"""Dead code in the library is an error.
+"""Dead code in the library is an error, and the oracles stay independent.
 
 Every import of a `src/pathreach` module must be used in it (the
 re-exports of `__init__.py` and `__future__` imports aside), and every
 private module-level name and private method must be referenced from some
-other line of the package.
+other line of the package.  `testkit` imports from no package module but
+`graph` and `decomposition`, so its oracles share no code with the engine
+(`reach`) or the cover (`dagcover`).
 """
 
 import ast
@@ -73,3 +75,20 @@ def test_every_private_name_is_referenced():
             if name.startswith("_") and not name.endswith("__")  # dunders are called implicitly
             and not references.get(name, set()) - {(module, line)}]
     assert not dead, f"private names no other line of the package references: {dead}"
+
+
+def test_testkit_imports_only_graph_and_decomposition():
+    imported = set()
+    for node in ast.walk(TREES["testkit.py"]):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import names a module of the package
+                module = f"pathreach.{module}".rstrip(".")
+            if module == "pathreach":
+                imported.update(f"pathreach.{alias.name}" for alias in node.names)
+            else:
+                imported.add(module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported if name.partition(".")[0] == "pathreach"}
+    assert package <= {"pathreach.graph", "pathreach.decomposition"}, package

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathreach import decomposition
 from pathreach.dagcover import minimal_path_decomposition
 from pathreach.decomposition import (
+    Walk,
     WalkDecomposition,
     format_decomposition,
     path_number_lower_bound,
@@ -16,6 +18,7 @@ from pathreach.testkit import (
     gen_decomposed_instance,
     gen_random_dag,
     iter_small_dags,
+    numbered_cover,
     oracle_min_switches,
     oracle_reachable,
     reachable_set,
@@ -121,6 +124,27 @@ class TestGenerators:
             InstanceSeed(n=1, k=-1, max_len=1, seed=0)
         with pytest.raises(ValueError):
             InstanceSeed(n=1, k=1, max_len=0, seed=0)
+
+
+def test_generators_and_oracles_check_each_walk_once(monkeypatch):
+    def no_view(vertices):
+        raise AssertionError(f"built a Walk view of {vertices}")
+
+    checked = []
+    monkeypatch.setattr(decomposition, "_check_walk", checked.append)
+    monkeypatch.setattr(Walk, "_checked", no_view)
+    diamond = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    for build, t, switches in [
+        (lambda: gen_decomposed_instance(InstanceSeed(n=6, k=4, max_len=8, seed=5)), 5, 0),
+        (lambda: switch_chain(12, 3), 11, 10),
+        (lambda: switch_ring(4), 5, 4),
+        (lambda: numbered_cover(diamond), 3, 0),
+    ]:
+        checked.clear()
+        w = build()
+        assert len(checked) == w.k  # once per walk, where it enters the family
+        assert switch_costs(w, 0, n=t + 1)[t] == oracle_min_switches(w, 0, t) == switches
+        assert len(checked) == w.k  # the oracles check nothing
 
 
 class TestRandomDag:
