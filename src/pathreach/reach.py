@@ -2,18 +2,30 @@
 
 For each walk the engine keeps one register holding the earliest position
 whose vertex is currently known to be reachable from the source, plus one
-staging register for the next round.  Each round extends reachability by
-one more switch between walks: a vertex becomes known as soon as it occurs
-at or after a register position in some walk.  The round counter at which
-the target is first detected is therefore the minimum number of switches
-needed, and the working state per query is the 2k registers plus a fixed
-handful of scalars, independent of the graph size.
+register holding the previous level, into which the next level is
+written.  Each round extends reachability by one more switch between
+walks: a vertex becomes known as soon as it occurs at or after a register
+position in some walk.  The round counter at which the target is first
+detected is therefore the minimum number of switches needed, and the
+working state per query is the 2k registers plus a fixed handful of
+scalars, independent of the graph size.
 
 The engine reads the decomposition's read-only occurrence index: per
 vertex, the (walk, last) entry of every walk it occurs in.  A scanned
 position therefore checks only the walks that contain its vertex, not
 all k registers.  A walk with no position known holds its own length,
 which fails every comparison against a position in it.
+
+A round either pulls or pushes.  A pull scans each walk's prefix up to
+its register for a vertex known in some walk.  A push scans only the
+segments the round before newly reached, from each register up to the
+previous level's, and lowers the register of every walk containing a
+vertex found there to that vertex's first position, which tuple.index
+finds.  The push segments of one query never overlap, so a query of
+many small rounds scans each position about once instead of rescanning
+every prefix in every round.  A round pushes unless its new segments
+are longer in total than the prefixes a pull would scan; _advance holds
+that rule and _push the bookkeeping.
 
 One generator, _rounds, runs the frontier: it yields the registers of
 level 0, the earliest occurrences of the source, and then those of every
@@ -29,10 +41,14 @@ from typing import Iterator
 
 from .decomposition import WalkDecomposition
 
-# Scalar index-sized locals live during a query, on top of the 2k registers:
-# walk cursors i and j, scan position q, scanned vertex v, the cursor into
-# the occurrence entries of v, the walk's new register value, the round
-# counter, and the change flag of the current round.
+# Scalar index-sized locals live during a query, on top of the 2k
+# registers; a round uses at most eight.  A push round: the round counter,
+# the scanned walk i, its segment end, scan position q, scanned vertex v,
+# the cursor into the occurrence entries of v, the pushed walk j, and the
+# position tuple.index returns (dj only caches the register d[j]).  A
+# pull round: the round counter, the pull-every-walk flag, the pulled
+# walk j, q, v, the entry cursor, and the entry's walk i and last
+# position.
 _QUERY_SCRATCH_WORDS = 8
 
 
@@ -44,31 +60,85 @@ class ReachResult:
     peak_words: int
 
 
-def _advance(paths, occ, c, d) -> bool:
-    """Compute the next frontier from c into d; return whether it moved.
+def _pull(paths, occ, c, j) -> int:
+    """Walk j's next register: its first position below c[j] whose vertex
+    occurs at or after c[i] in some walk i, else c[j].
 
     occ[v] lists a (walk i, last) entry for each walk containing v, so
     "v occurs at or after c[i]" is the comparison last >= c[i], made only
-    for the walks in which v occurs.  Scanning walk j can stop at c[j]:
-    positions from there on qualify already, hence d[j] never exceeds
-    c[j].  A register at its walk's length fails every comparison and
-    lets the scan cover the whole walk.
+    for the walks in which v occurs.  The scan can stop at c[j]:
+    positions from there on qualify already.  A register at its walk's
+    length fails every comparison and lets the scan cover the whole walk.
     """
-    changed = False
+    vs = paths[j]
+    for q in range(c[j]):
+        for i, last in occ[vs[q]]:
+            if last >= c[i]:
+                return q
+    return c[j]
+
+
+def _push(paths, occ, c, d) -> None:
+    """Scan the new segments [c[i], d[i]) and push their vertices.
+
+    The walks are visited in index order.  Walk i scans its segment, if
+    it moved, and lowers d[j] to paths[j].index(v) for every walk j in
+    occ[v].  Once walk i's turn has begun, d[i] holds its next register.
+    Before walk j's turn d[j] still holds j's segment end, so a push into
+    j must not overwrite it:
+    - j did not move (d[j] <= c[j]): it has no segment, and the pushed
+      position is stored as itself, below c[j];
+    - j moved (d[j] > c[j]): j becomes pending, stored as ~end, a
+      negative int, so no flag bits are needed.  A pending walk ignores
+      later pushes, scans its segment at its turn, and is left negative
+      for _advance to pull.
+    """
+    for i in range(len(paths)):
+        end = d[i]
+        if end < 0:
+            end = ~end
+        elif end > c[i]:
+            d[i] = c[i]
+        else:
+            continue
+        vs = paths[i]
+        for q in range(c[i], end):
+            v = vs[q]
+            for j, _ in occ[v]:
+                dj = d[j]
+                if dj < 0:
+                    continue
+                if j > i and dj > c[j]:
+                    d[j] = ~dj
+                else:
+                    q_j = paths[j].index(v)
+                    if q_j < dj:
+                        d[j] = q_j
+
+
+def _advance(paths, occ, c, d) -> bool:
+    """Compute the next level from c into d; return whether it moved.
+
+    On entry d holds the previous level (each walk's length before the
+    first round), so [c[i], d[i]) is the segment of walk i that the last
+    round newly reached.  A vertex at or after d[i] was known one level
+    earlier and has already lowered every register it can, so the next
+    register of walk j is c[j] lowered to the first position in j of any
+    vertex of a new segment: _push finds those, and each walk it leaves
+    pending is pulled at round end.
+
+    Without first positions in the index each push entry costs a
+    tuple.index scan, so a round whose new segments are longer in total
+    than the prefixes (sum(d) - sum(c) > sum(c)) pulls every walk instead.
+    Either way d ends up holding the next level.
+    """
+    pull_all = sum(d) - sum(c) > sum(c)
+    if not pull_all:
+        _push(paths, occ, c, d)
     for j in range(len(paths)):
-        vs = paths[j]
-        new_cj = c[j]
-        for q in range(new_cj):
-            for i, last in occ[vs[q]]:
-                if last >= c[i]:
-                    new_cj = q
-                    break
-            if new_cj == q:
-                break
-        d[j] = new_cj
-        if new_cj != c[j]:
-            changed = True
-    return changed
+        if pull_all or d[j] < 0:
+            d[j] = _pull(paths, occ, c, j)
+    return d != c
 
 
 def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
@@ -79,8 +149,12 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     Level 1 is always yielded, even when it equals level 0, so a query
     whose source occurs counts at least one round; after that the
     generator ends at the first round that moves no register.  Nothing is
-    yielded when s occurs in no walk.  A yielded list keeps its level only
-    until the generator is resumed twice; copy it to keep it longer.
+    yielded when s occurs in no walk.
+
+    A yielded list is a live register array: the next round reads it as
+    the current level, and the round after reads it as the previous level
+    and then overwrites it.  Do not mutate it, and copy it to keep it
+    longer than two resumptions.
     """
     occ = w.occurrences
     source = occ.get(s)
@@ -109,8 +183,9 @@ def decide_reachability(
     s-to-t routes (0 when s equals t or both lie in order on one walk);
     iterations counts frontier rounds.  peak_words is the query's working
     space in index-sized words, 2k + 8 for every query: the k registers c
-    of the current level, the k staging registers d of the next, and the
-    8 scalars of _QUERY_SCRATCH_WORDS.
+    of the current level, the k registers d of the previous level, into
+    which a round writes the next, and the 8 scalars of
+    _QUERY_SCRATCH_WORDS.
 
     n, when given, is the vertex universe; it defaults to the implied
     union-graph size.  A source that occurs in no walk reaches only

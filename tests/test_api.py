@@ -1,13 +1,12 @@
-"""The public API is what README documents, and the oracles stay independent.
+"""The public API is what README documents.
 
 Every name `pathreach` exports, and every public method and property of
 an exported class, must appear in README.md, and README's library example
-must run as shown; the names of the retired API must not come back; and
-`pathreach.testkit`, which supplies the oracles the engine is checked
-against, must not import the engine (`reach`) or the cover (`dagcover`).
+must run as shown; the names of the retired API must not come back.  That
+the oracles in `pathreach.testkit` stay independent of the engine is
+checked in `tests/test_lint.py`.
 """
 
-import ast
 import dataclasses
 import functools
 import inspect
@@ -17,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import pathreach
-from pathreach import dagcover, graph, reach, testkit
+from pathreach import dagcover, graph, reach
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -96,13 +95,3 @@ def test_retired_name_is_gone(name):
     for module in (pathreach, reach, dagcover, graph):
         assert not hasattr(module, name), f"{module.__name__}.{name} exists"
 
-
-def test_testkit_imports_neither_engine_nor_cover():
-    imported = set()
-    for node in ast.walk(ast.parse(Path(testkit.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").rpartition(".")[2])
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name.rpartition(".")[2] for alias in node.names)
-    assert not imported & {"reach", "dagcover"}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathreach import reach
 from pathreach.decomposition import WalkDecomposition, union_graph
 from pathreach.reach import _rounds, decide_reachability
 from pathreach.testkit import (
@@ -217,16 +218,10 @@ def _reference_advance(w, c):
         for walk in w)
 
 
-@given(instances(max_n=10, max_k=4, max_len=8), st.data())
-@settings(max_examples=80, deadline=None)
-def test_advance_matches_scan_reference(w, data):
+def _assert_reference_levels(w, s):
     # Level 0 holds the first occurrences of s, each later level is one
     # reference round from the level before, and the last level is a
     # fixpoint of the reference round.
-    if w.k == 0:
-        return
-    n = w.implied_vertex_count
-    s = data.draw(st.integers(min_value=0, max_value=n - 1))
     regs = levels(w, s)
     if all(s not in walk.vertices for walk in w):
         assert regs == []
@@ -236,6 +231,92 @@ def test_advance_matches_scan_reference(w, data):
     for old, new in zip(regs, regs[1:]):
         assert new == _reference_advance(w, old)
     assert _reference_advance(w, regs[-1]) == regs[-1]
+
+
+@given(instances(max_n=10, max_k=4, max_len=8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_advance_matches_scan_reference(w, data):
+    if w.k == 0:
+        return
+    n = w.implied_vertex_count
+    s = data.draw(st.integers(min_value=0, max_value=n - 1))
+    _assert_reference_levels(w, s)
+
+
+def _pulls_per_level(w, s, monkeypatch):
+    """Per level of s, the walks whose register the round reaching it took
+    from a pull scan, in call order."""
+    pull, pulled = reach._pull, []
+
+    def spy(paths, occ, c, j):
+        pulled.append(j)
+        return pull(paths, occ, c, j)
+
+    monkeypatch.setattr(reach, "_pull", spy)
+    per_level = []
+    for _ in _rounds(w, s):
+        per_level.append(tuple(pulled))
+        pulled.clear()
+    return per_level
+
+
+class TestRoundKinds:
+    """One fixed instance per kind of round, so a broken branch of _advance
+    or _push fails on every run; the comments trace the round that takes
+    it."""
+
+    def test_round_that_pulls_every_walk(self, monkeypatch):
+        # Round 2: c = (0, 0, 1), previous level (0, 2, 1).  The new
+        # segments (2 positions) outweigh the prefixes (1), so every walk
+        # is pulled, and the pull of walk 2 finds vertex 0, which occurs
+        # at c[1] in walk 1.
+        w = WalkDecomposition([[3, 1], [1, 0], [0]])
+        _assert_reference_levels(w, 3)
+        assert levels(w, 3) == [(0, None, None), (0, 0, None), (0, 0, 0)]
+        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1, 2)]
+
+    def test_moved_walk_pushed_by_an_earlier_walk_goes_pending(self, monkeypatch):
+        # Round 2: c = (1, 1, 1), previous level (1, 2, 3); walks 1 and 2
+        # moved.  Walk 1's segment holds vertex 0, which occurs in walk 2,
+        # so walk 2 goes pending before its turn.  It still scans its own
+        # segment at its turn (vertex 1 lowers walk 1 to 0), and its pull
+        # at round end finds vertex 1 at position 0.
+        w = WalkDecomposition([[2], [1, 0, 3, 0], [1, 0, 1]])
+        _assert_reference_levels(w, 3)
+        assert levels(w, 3) == [(None, 2, None), (None, 1, 1), (None, 0, 0)]
+        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (2,)]
+
+    def test_push_into_a_walk_that_did_not_move(self, monkeypatch):
+        # Round 2: c = (1, 1), previous level (3, 1); only walk 0 moved.
+        # Its segment holds vertex 2, which lowers walk 1, still waiting
+        # for its turn, from 1 to 0 with no pull.
+        w = WalkDecomposition([[2, 0, 2], [2, 1, 0]])
+        _assert_reference_levels(w, 1)
+        assert levels(w, 1) == [(None, 1), (1, 1), (0, 0)]
+        assert _pulls_per_level(w, 1, monkeypatch) == [(), (), ()]
+
+
+class _CountingIndex(dict):
+    """An occurrence index that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, v):
+        self.lookups += 1
+        return super().__getitem__(v)
+
+
+@pytest.mark.parametrize("n", [200, 400, 800, 1600])
+def test_chain_query_work_is_linear_in_n(n):
+    # The query 0 -> n-1 on switch_chain(n, 4) runs about n rounds.  A
+    # round scans only the positions the round before newly reached, so
+    # each of the ~2n positions is looked up about once; rescanning every
+    # prefix in every round would make ~n^2 lookups.
+    w = switch_chain(n, 4)
+    index = w.__dict__["occurrences"] = _CountingIndex(w.occurrences)
+    res = decide_reachability(w, 0, n - 1)
+    assert res.min_switches == n - 2
+    assert index.lookups <= 2 * n, index.lookups
 
 
 def _strict_levels(w, s):
