@@ -20,12 +20,14 @@ A round either pulls or pushes.  A pull scans each walk's prefix up to
 its register for a vertex known in some walk.  A push scans only the
 segments the round before newly reached, from each register up to the
 previous level's, and lowers the register of every walk containing a
-vertex found there to that vertex's first position, which tuple.index
-finds.  The push segments of one query never overlap, so a query of
-many small rounds scans each position about once instead of rescanning
-every prefix in every round.  A round pushes unless its new segments
-are longer in total than the prefixes a pull would scan; _advance holds
-that rule and _push the bookkeeping.
+vertex found there to that vertex's first position below it, which a
+tuple.index scan bounded by the register finds.  The push segments of
+one query never overlap, so a query of many small rounds looks up each
+position in the index about once instead of once per round; the
+tuple.index scans still cover prefixes, but in C.  A round pushes only
+when its scans, weighed at _SCANS_PER_LOOKUP compared positions per
+lookup, cost no more than pulling every walk; _advance holds that rule
+and _push the bookkeeping.
 
 One generator, _rounds, runs the frontier: it yields the registers of
 level 0, the earliest occurrences of the source, and then those of every
@@ -45,11 +47,18 @@ from .decomposition import WalkDecomposition
 # registers; a round uses at most eight.  A push round: the round counter,
 # the scanned walk i, its segment end, scan position q, scanned vertex v,
 # the cursor into the occurrence entries of v, the pushed walk j, and the
-# position tuple.index returns (dj only caches the register d[j]).  A
-# pull round: the round counter, the pull-every-walk flag, the pulled
-# walk j, q, v, the entry cursor, and the entry's walk i and last
-# position.
+# position of the tuple.index scan, which becomes d[j] when it finds v (dj
+# only caches the register d[j]).  A pull round: the round counter, the
+# pulled walk j, q, v, the entry cursor, and the entry's walk i and last
+# position.  The sums that pick the kind of round are dead once it starts.
 _QUERY_SCRATCH_WORDS = 8
+
+# Positions tuple.index compares in the time of one pull lookup, rounded
+# down: about 10 on CPython 3.11 on a 2-vCPU x86-64 VM (12-27 ns per
+# compared position against 130-310 ns per looked-up position, on a long
+# single walk and on 64 random walks of length <= 100).  _advance weighs
+# push scans with it.
+_SCANS_PER_LOOKUP = 10
 
 
 @dataclass(frozen=True)
@@ -82,16 +91,18 @@ def _push(paths, occ, c, d) -> None:
     """Scan the new segments [c[i], d[i]) and push their vertices.
 
     The walks are visited in index order.  Walk i scans its segment, if
-    it moved, and lowers d[j] to paths[j].index(v) for every walk j in
-    occ[v].  Once walk i's turn has begun, d[i] holds its next register.
-    Before walk j's turn d[j] still holds j's segment end, so a push into
-    j must not overwrite it:
+    it moved, and lowers d[j] to the first position of v in walk j, for
+    every walk j in occ[v], when that position lies below d[j].  The scan
+    for it, paths[j].index(v, 0, d[j]), stops at d[j], so it covers at
+    most c[j] positions.  Once walk i's turn has begun, d[i] holds its
+    next register.  Before walk j's turn d[j] still holds j's segment
+    end, so a push into j must not overwrite it:
     - j did not move (d[j] <= c[j]): it has no segment, and the pushed
       position is stored as itself, below c[j];
-    - j moved (d[j] > c[j]): j becomes pending, stored as ~end, a
-      negative int, so no flag bits are needed.  A pending walk ignores
-      later pushes, scans its segment at its turn, and is left negative
-      for _advance to pull.
+    - j moved (d[j] > c[j], which holds only before j's turn): j becomes
+      pending, stored as ~end, a negative int, so no flag bits are
+      needed.  A pending walk ignores later pushes, scans its segment at
+      its turn, and is left negative for _advance to pull.
     """
     for i in range(len(paths)):
         end = d[i]
@@ -106,14 +117,13 @@ def _push(paths, occ, c, d) -> None:
             v = vs[q]
             for j, _ in occ[v]:
                 dj = d[j]
-                if dj < 0:
-                    continue
-                if j > i and dj > c[j]:
+                if dj > c[j]:
                     d[j] = ~dj
-                else:
-                    q_j = paths[j].index(v)
-                    if q_j < dj:
-                        d[j] = q_j
+                elif dj > 0:
+                    try:
+                        d[j] = paths[j].index(v, 0, dj)
+                    except ValueError:
+                        pass
 
 
 def _advance(paths, occ, c, d) -> bool:
@@ -127,17 +137,26 @@ def _advance(paths, occ, c, d) -> bool:
     vertex of a new segment: _push finds those, and each walk it leaves
     pending is pulled at round end.
 
-    Without first positions in the index each push entry costs a
-    tuple.index scan, so a round whose new segments are longer in total
-    than the prefixes (sum(d) - sum(c) > sum(c)) pulls every walk instead.
-    Either way d ends up holding the next level.
+    The round pushes only when that costs no more than pulling every
+    walk.  A pull looks up each prefix position in the index, at most
+    sum(c) lookups.  A push looks up each of the new = sum(d) - sum(c)
+    new-segment positions once, and each index entry of its vertex scans
+    at most max(c) positions in C, which costs about
+    max(c) / _SCANS_PER_LOOKUP lookups.  So a round with
+    new * (_SCANS_PER_LOOKUP + max(c)) > _SCANS_PER_LOOKUP * sum(c)
+    pulls every walk instead.  Either way d ends up holding the next
+    level.
     """
-    pull_all = sum(d) - sum(c) > sum(c)
-    if not pull_all:
-        _push(paths, occ, c, d)
-    for j in range(len(paths)):
-        if pull_all or d[j] < 0:
+    prefixes = sum(c)
+    new = sum(d) - prefixes
+    if new * (_SCANS_PER_LOOKUP + max(c)) > _SCANS_PER_LOOKUP * prefixes:
+        for j in range(len(paths)):
             d[j] = _pull(paths, occ, c, j)
+    else:
+        _push(paths, occ, c, d)
+        for j in range(len(paths)):
+            if d[j] < 0:
+                d[j] = _pull(paths, occ, c, j)
     return d != c
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -267,33 +268,35 @@ class TestRoundKinds:
 
     def test_round_that_pulls_every_walk(self, monkeypatch):
         # Round 2: c = (0, 0, 1), previous level (0, 2, 1).  The new
-        # segments (2 positions) outweigh the prefixes (1), so every walk
-        # is pulled, and the pull of walk 2 finds vertex 0, which occurs
-        # at c[1] in walk 1.
+        # segments (2 positions) cost more to push than the prefixes (1)
+        # cost to pull, so every walk is pulled, and the pull of walk 2
+        # finds vertex 0, which occurs at c[1] in walk 1.
         w = WalkDecomposition([[3, 1], [1, 0], [0]])
         _assert_reference_levels(w, 3)
         assert levels(w, 3) == [(0, None, None), (0, 0, None), (0, 0, 0)]
         assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1, 2)]
 
     def test_moved_walk_pushed_by_an_earlier_walk_goes_pending(self, monkeypatch):
-        # Round 2: c = (1, 1, 1), previous level (1, 2, 3); walks 1 and 2
-        # moved.  Walk 1's segment holds vertex 0, which occurs in walk 2,
-        # so walk 2 goes pending before its turn.  It still scans its own
-        # segment at its turn (vertex 1 lowers walk 1 to 0), and its pull
-        # at round end finds vertex 1 at position 0.
-        w = WalkDecomposition([[2], [1, 0, 3, 0], [1, 0, 1]])
-        _assert_reference_levels(w, 3)
-        assert levels(w, 3) == [(None, 2, None), (None, 1, 1), (None, 0, 0)]
-        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (2,)]
+        # Round 1: c = (2, 2, 1), previous level the walk lengths (2, 3, 3);
+        # walks 1 and 2 moved.  Walk 1's segment holds vertex 0, which
+        # occurs in walk 2, so walk 2 goes pending before its turn.  It
+        # still scans its own segment at its turn (vertex 2 lowers walk 1
+        # to 1), and its pull at round end finds vertex 2 at position 0.
+        w = WalkDecomposition([[1, 3], [3, 2, 0], [2, 0, 2]])
+        _assert_reference_levels(w, 0)
+        assert levels(w, 0) == [(None, 2, 1), (None, 1, 0)]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), (2,)]
 
     def test_push_into_a_walk_that_did_not_move(self, monkeypatch):
-        # Round 2: c = (1, 1), previous level (3, 1); only walk 0 moved.
-        # Its segment holds vertex 2, which lowers walk 1, still waiting
-        # for its turn, from 1 to 0 with no pull.
-        w = WalkDecomposition([[2, 0, 2], [2, 1, 0]])
-        _assert_reference_levels(w, 1)
-        assert levels(w, 1) == [(None, 1), (1, 1), (0, 0)]
-        assert _pulls_per_level(w, 1, monkeypatch) == [(), (), ()]
+        # Round 2: c = (1, 1, 1), previous level (3, 1, 1); only walk 0
+        # moved.  Its segment holds vertices 1 and 6.  Vertex 1 occurs in
+        # walks 0 and 1 at or after their registers only, so its scans
+        # find nothing; vertex 6 lowers walks 1 and 2, still waiting for
+        # their turns, from 1 to 0 with no pull.
+        w = WalkDecomposition([[3, 1, 6], [6, 5, 1], [6]])
+        _assert_reference_levels(w, 5)
+        assert levels(w, 5) == [(None, 1, None), (1, 1, None), (1, 0, 0)]
+        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), ()]
 
 
 class _CountingIndex(dict):
@@ -306,17 +309,57 @@ class _CountingIndex(dict):
         return super().__getitem__(v)
 
 
-@pytest.mark.parametrize("n", [200, 400, 800, 1600])
-def test_chain_query_work_is_linear_in_n(n):
-    # The query 0 -> n-1 on switch_chain(n, 4) runs about n rounds.  A
-    # round scans only the positions the round before newly reached, so
-    # each of the ~2n positions is looked up about once; rescanning every
-    # prefix in every round would make ~n^2 lookups.
-    w = switch_chain(n, 4)
+class _CountingWalk(tuple):
+    """A walk's vertex tuple that counts the positions index compares."""
+
+    compared = 0
+
+    def index(self, v, lo=0, hi=sys.maxsize):
+        hi = min(hi, len(self))
+        try:
+            q = super().index(v, lo, hi)
+        except ValueError:
+            self.compared += max(hi - lo, 0)
+            raise
+        self.compared += q - lo + 1
+        return q
+
+
+def _counted(w):
+    """Make w count its index lookups and the positions its walks' index
+    calls compare; return both counters' holders."""
     index = w.__dict__["occurrences"] = _CountingIndex(w.occurrences)
+    walks = w.__dict__["_paths"] = tuple(map(_CountingWalk, w._paths))
+    return index, walks
+
+
+@pytest.mark.parametrize("n", [200, 400, 800, 1600])
+def test_chain_query_index_lookups_are_linear_in_n(n):
+    # The query 0 -> n-1 on switch_chain(n, 4) runs about n rounds.  A
+    # push round looks up only the positions the round before newly
+    # reached, so each of the ~2n positions is looked up about once;
+    # pulling every prefix in every round would make ~n^2 lookups.  The
+    # tuple.index scans of the pushes still cover prefixes, in C, so the
+    # compared positions are not pinned here.
+    w = switch_chain(n, 4)
+    index, _ = _counted(w)
     res = decide_reachability(w, 0, n - 1)
     assert res.min_switches == n - 2
     assert index.lookups <= 2 * n, index.lookups
+
+
+@pytest.mark.parametrize("length", [1000, 4000])
+def test_long_walk_query_work_is_linear_in_length(length):
+    # One walk, the source at its middle and the target before it.  The
+    # first round's new segment is the second half; pushing it would scan
+    # the first half once per segment position, ~length^2 / 4 compared
+    # positions.  The round pulls instead and looks up the first half once.
+    w = WalkDecomposition([list(range(length))])
+    index, walks = _counted(w)
+    res = decide_reachability(w, length // 2, 0)
+    assert not res.reachable
+    work = index.lookups + sum(walk.compared for walk in walks)
+    assert work <= 2 * length, work
 
 
 def _strict_levels(w, s):
