@@ -88,9 +88,10 @@ class WalkDecomposition:
     """An ordered family of walks, held as the walks' vertex tuples.
 
     The Walk objects of the public view and the derived occurrence index
-    (per vertex, its last position in each walk that contains it) are
-    built on first use and cached; the index is query-independent input
-    representation, shared by all reachability queries on the instance.
+    (per vertex, its last position in each walk that contains it, and per
+    walk, whether it repeats a vertex) are built on first use and cached;
+    the index is query-independent input representation, shared by all
+    reachability queries on the instance.
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
@@ -124,11 +125,22 @@ class WalkDecomposition:
         vertex in that walk.  Only vertices that occur are keys, so the
         index is sized by the input, not by the largest vertex id.
         """
+        return self._index[0]
+
+    @cached_property
+    def _index(self) -> tuple[dict[int, tuple[tuple[int, int], ...]], tuple[bool, ...]]:
+        """The occurrence index and, per walk, whether the walk repeats a
+        vertex, built in one pass: a walk repeats a vertex exactly when it
+        has fewer distinct vertices than positions.  In a walk that does
+        not, last is the vertex's only position."""
         by_vertex: dict[int, list[tuple[int, int]]] = {}
+        repeats = []
         for i, vs in enumerate(self._paths):
-            for v, last in dict(zip(vs, range(len(vs)))).items():
+            lasts = dict(zip(vs, range(len(vs))))
+            repeats.append(len(lasts) < len(vs))
+            for v, last in lasts.items():
                 by_vertex.setdefault(v, []).append((i, last))
-        return {v: tuple(entries) for v, entries in by_vertex.items()}
+        return {v: tuple(entries) for v, entries in by_vertex.items()}, tuple(repeats)
 
     def __len__(self) -> int:
         return len(self._paths)

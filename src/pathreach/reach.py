@@ -20,14 +20,18 @@ A round either pulls or pushes.  A pull scans each walk's prefix up to
 its register for a vertex known in some walk.  A push scans only the
 segments the round before newly reached, from each register up to the
 previous level's, and lowers the register of every walk containing a
-vertex found there to that vertex's first position below it, which a
-tuple.index scan bounded by the register finds.  The push segments of
-one query never overlap, so a query of many small rounds looks up each
-position in the index about once instead of once per round; the
-tuple.index scans still cover prefixes, but in C.  A round pushes only
-when its scans, weighed at _SCANS_PER_LOOKUP compared positions per
-lookup, cost no more than pulling every walk; _advance holds that rule
-and _push the bookkeeping.
+vertex found there to that vertex's first position below it.  In a walk
+that repeats no vertex, a path, the entry's last position is that first
+position, so the push reads it from the index; the index also flags,
+per walk, whether it repeats a vertex.  In a walk that repeats one, a
+tuple.index scan bounded by the register finds it.  The push segments
+of one query never overlap, so a query of many small rounds looks up
+each position in the index about once instead of once per round, and on
+a path decomposition, the paper's main case, it compares no positions
+beyond those lookups.  A round pushes only when its lookups, and its
+scans into walks that repeat a vertex weighed at _SCANS_PER_LOOKUP
+compared positions per lookup, cost no more than pulling every walk;
+_advance holds that rule and _push the bookkeeping.
 
 One generator, _rounds, runs the frontier: it yields the registers of
 level 0, the earliest occurrences of the source, and then those of every
@@ -39,6 +43,7 @@ most l switches" exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 from .decomposition import WalkDecomposition
@@ -47,17 +52,20 @@ from .decomposition import WalkDecomposition
 # registers; a round uses at most eight.  A push round: the round counter,
 # the scanned walk i, its segment end, scan position q, scanned vertex v,
 # the cursor into the occurrence entries of v, the pushed walk j, and the
-# position of the tuple.index scan, which becomes d[j] when it finds v (dj
-# only caches the register d[j]).  A pull round: the round counter, the
+# position that becomes d[j]: the entry's last position when j repeats no
+# vertex, else the position of the tuple.index scan, which becomes d[j]
+# when it finds v (dj only caches the register d[j]; the per-walk flag is
+# read-only input, like the index).  A pull round: the round counter, the
 # pulled walk j, q, v, the entry cursor, and the entry's walk i and last
-# position.  The sums that pick the kind of round are dead once it starts.
+# position.  The sums and the scan bound m that pick the kind of round are
+# dead once it starts.
 _QUERY_SCRATCH_WORDS = 8
 
 # Positions tuple.index compares in the time of one pull lookup, rounded
 # down: about 10 on CPython 3.11 on a 2-vCPU x86-64 VM (12-27 ns per
 # compared position against 130-310 ns per looked-up position, on a long
 # single walk and on 64 random walks of length <= 100).  _advance weighs
-# push scans with it.
+# push scans with it; only pushes into walks that repeat a vertex scan.
 _SCANS_PER_LOOKUP = 10
 
 
@@ -87,16 +95,18 @@ def _pull(paths, occ, c, j) -> int:
     return c[j]
 
 
-def _push(paths, occ, c, d) -> None:
+def _push(paths, occ, repeats, c, d) -> None:
     """Scan the new segments [c[i], d[i]) and push their vertices.
 
     The walks are visited in index order.  Walk i scans its segment, if
     it moved, and lowers d[j] to the first position of v in walk j, for
-    every walk j in occ[v], when that position lies below d[j].  The scan
-    for it, paths[j].index(v, 0, d[j]), stops at d[j], so it covers at
-    most c[j] positions.  Once walk i's turn has begun, d[i] holds its
-    next register.  Before walk j's turn d[j] still holds j's segment
-    end, so a push into j must not overwrite it:
+    every walk j in occ[v], when that position lies below d[j].  When j
+    repeats no vertex (repeats[j] is false), that position is the entry's
+    last, and no scan is made.  Otherwise the scan for it,
+    paths[j].index(v, 0, d[j]), stops at d[j], so it covers at most c[j]
+    positions.  Once walk i's turn has begun, d[i] holds its next
+    register.  Before walk j's turn d[j] still holds j's segment end, so
+    a push into j must not overwrite it:
     - j did not move (d[j] <= c[j]): it has no segment, and the pushed
       position is stored as itself, below c[j];
     - j moved (d[j] > c[j], which holds only before j's turn): j becomes
@@ -115,10 +125,13 @@ def _push(paths, occ, c, d) -> None:
         vs = paths[i]
         for q in range(c[i], end):
             v = vs[q]
-            for j, _ in occ[v]:
+            for j, last in occ[v]:
                 dj = d[j]
                 if dj > c[j]:
                     d[j] = ~dj
+                elif not repeats[j]:
+                    if last < dj:
+                        d[j] = last
                 elif dj > 0:
                     try:
                         d[j] = paths[j].index(v, 0, dj)
@@ -126,7 +139,7 @@ def _push(paths, occ, c, d) -> None:
                         pass
 
 
-def _advance(paths, occ, c, d) -> bool:
+def _advance(paths, occ, repeats, c, d) -> bool:
     """Compute the next level from c into d; return whether it moved.
 
     On entry d holds the previous level (each walk's length before the
@@ -140,20 +153,23 @@ def _advance(paths, occ, c, d) -> bool:
     The round pushes only when that costs no more than pulling every
     walk.  A pull looks up each prefix position in the index, at most
     sum(c) lookups.  A push looks up each of the new = sum(d) - sum(c)
-    new-segment positions once, and each index entry of its vertex scans
-    at most max(c) positions in C, which costs about
-    max(c) / _SCANS_PER_LOOKUP lookups.  So a round with
-    new * (_SCANS_PER_LOOKUP + max(c)) > _SCANS_PER_LOOKUP * sum(c)
-    pulls every walk instead.  Either way d ends up holding the next
-    level.
+    new-segment positions once.  Each index entry of its vertex for a
+    walk that repeats a vertex scans at most m positions in C, m the
+    largest register of such a walk, which costs about
+    m / _SCANS_PER_LOOKUP lookups; an entry for a path reads its last
+    position and scans nothing.  So a round with
+    new * (_SCANS_PER_LOOKUP + m) > _SCANS_PER_LOOKUP * sum(c)
+    pulls every walk instead; on a path decomposition m is 0 and the
+    rule is new > sum(c).  Either way d ends up holding the next level.
     """
     prefixes = sum(c)
     new = sum(d) - prefixes
-    if new * (_SCANS_PER_LOOKUP + max(c)) > _SCANS_PER_LOOKUP * prefixes:
+    m = max(compress(c, repeats), default=0)
+    if new * (_SCANS_PER_LOOKUP + m) > _SCANS_PER_LOOKUP * prefixes:
         for j in range(len(paths)):
             d[j] = _pull(paths, occ, c, j)
     else:
-        _push(paths, occ, c, d)
+        _push(paths, occ, repeats, c, d)
         for j in range(len(paths)):
             if d[j] < 0:
                 d[j] = _pull(paths, occ, c, j)
@@ -180,15 +196,16 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     if source is None:
         return
     paths = w._paths
+    repeats = w._index[1]
     c = list(map(len, paths))
     d = c[:]
-    for i, _ in source:
-        c[i] = paths[i].index(s)
+    for i, last in source:
+        c[i] = paths[i].index(s) if repeats[i] else last
     yield c
-    _advance(paths, occ, c, d)
+    _advance(paths, occ, repeats, c, d)
     c, d = d, c
     yield c
-    while _advance(paths, occ, c, d):
+    while _advance(paths, occ, repeats, c, d):
         c, d = d, c
         yield c
 

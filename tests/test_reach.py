@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathreach import reach
+from pathreach.dagcover import minimal_path_decomposition
 from pathreach.decomposition import WalkDecomposition, union_graph
 from pathreach.reach import _rounds, decide_reachability
 from pathreach.testkit import (
@@ -21,6 +22,7 @@ from pathreach.testkit import (
 )
 
 from .conftest import overlap_instance
+from .test_properties import random_dags
 
 
 def instances(max_n=14, max_k=6, max_len=10):
@@ -182,8 +184,10 @@ class TestMeter:
 @settings(max_examples=150, deadline=None)
 def test_occurrence_index_matches_scan(w):
     # Per vertex, one (walk, last) entry per walk containing it, in walk
-    # order; vertices that occur nowhere are not keys.
+    # order; vertices that occur nowhere are not keys.  Per walk, the
+    # same pass flags whether it repeats a vertex.
     occ = w.occurrences
+    assert w._index == (occ, tuple(not walk.is_simple for walk in w))
     assert set(occ) == {v for walk in w for v in walk.vertices}
     for v in range(w.implied_vertex_count + 2):
         expected = []
@@ -234,8 +238,12 @@ def _assert_reference_levels(w, s):
     assert _reference_advance(w, regs[-1]) == regs[-1]
 
 
-@given(instances(max_n=10, max_k=4, max_len=8), st.data())
-@settings(max_examples=80, deadline=None)
+# Minimal DAG covers hold only paths, so every push there reads its
+# position from the index.
+@given(st.one_of(instances(max_n=10, max_k=4, max_len=8),
+                 st.builds(minimal_path_decomposition, random_dags(max_n=10))),
+       st.data())
+@settings(max_examples=120, deadline=None)
 def test_advance_matches_scan_reference(w, data):
     if w.k == 0:
         return
@@ -289,14 +297,27 @@ class TestRoundKinds:
 
     def test_push_into_a_walk_that_did_not_move(self, monkeypatch):
         # Round 2: c = (1, 1, 1), previous level (3, 1, 1); only walk 0
-        # moved.  Its segment holds vertices 1 and 6.  Vertex 1 occurs in
-        # walks 0 and 1 at or after their registers only, so its scans
-        # find nothing; vertex 6 lowers walks 1 and 2, still waiting for
-        # their turns, from 1 to 0 with no pull.
+        # moved.  Its segment holds vertices 1 and 6.  Every walk is a
+        # path, so a push reads the entry's last position and scans
+        # nothing.  Vertex 1 lies in walks 0 and 1 at or after their
+        # registers only, so it lowers nothing; vertex 6 lowers walks 1
+        # and 2, still waiting for their turns, from 1 to 0 with no pull.
         w = WalkDecomposition([[3, 1, 6], [6, 5, 1], [6]])
         _assert_reference_levels(w, 5)
         assert levels(w, 5) == [(None, 1, None), (1, 1, None), (1, 0, 0)]
         assert _pulls_per_level(w, 5, monkeypatch) == [(), (), ()]
+
+    def test_push_into_a_walk_that_repeats_the_vertex(self, monkeypatch):
+        # Round 1: c = (4,), previous level the length (6,).  Walk 0
+        # repeats vertex 5, at 0, 2 and 5, so its pushes scan.  The two
+        # new positions cost 2 * (10 + 4) = 28 <= 10 * 4, so the round
+        # pushes.  Vertex 0's scan of [0, 4) finds nothing.  Vertex 5's
+        # last position, 5, is not below d[0] = 4, but its scan returns
+        # its first position, 0, with no pull.
+        w = WalkDecomposition([[5, 1, 5, 2, 0, 5]])
+        _assert_reference_levels(w, 0)
+        assert levels(w, 0) == [(4,), (0,)]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), ()]
 
 
 class _CountingIndex(dict):
@@ -338,25 +359,36 @@ def test_chain_query_index_lookups_are_linear_in_n(n):
     # The query 0 -> n-1 on switch_chain(n, 4) runs about n rounds.  A
     # push round looks up only the positions the round before newly
     # reached, so each of the ~2n positions is looked up about once;
-    # pulling every prefix in every round would make ~n^2 lookups.  The
-    # tuple.index scans of the pushes still cover prefixes, in C, so the
-    # compared positions are not pinned here.
+    # pulling every prefix in every round would make ~n^2 lookups.  Every
+    # walk is a path, so a push reads first positions from the index and
+    # no tuple.index scan compares a position.
     w = switch_chain(n, 4)
-    index, _ = _counted(w)
+    index, walks = _counted(w)
     res = decide_reachability(w, 0, n - 1)
     assert res.min_switches == n - 2
     assert index.lookups <= 2 * n, index.lookups
+    assert sum(walk.compared for walk in walks) == 0
 
 
-@pytest.mark.parametrize("length", [1000, 4000])
-def test_long_walk_query_work_is_linear_in_length(length):
-    # One walk, the source at its middle and the target before it.  The
-    # first round's new segment is the second half; pushing it would scan
-    # the first half once per segment position, ~length^2 / 4 compared
-    # positions.  The round pulls instead and looks up the first half once.
-    w = WalkDecomposition([list(range(length))])
+@pytest.mark.parametrize("length, repeats", [
+    pytest.param(1000, False, id="1000"),
+    pytest.param(4000, False, id="4000"),
+    pytest.param(1000, True, id="1000-repeats"),
+    pytest.param(4000, True, id="4000-repeats"),
+])
+def test_long_walk_query_work_is_linear_in_length(length, repeats):
+    # One walk, the source two thirds in and the target before it.  The
+    # first round's new segment is the last third, no longer than the
+    # prefix.  On a path the round pushes it, reading each vertex's
+    # position from the index with no scan.  When the walk repeats a
+    # vertex (here one past the source, once more at the end), pushing
+    # would scan the prefix once per segment position, ~length^2 / 4.5
+    # compared positions; the round pulls instead and looks up the prefix
+    # once.
+    s = 2 * length // 3
+    w = WalkDecomposition([list(range(length)) + [s + 1] * repeats])
     index, walks = _counted(w)
-    res = decide_reachability(w, length // 2, 0)
+    res = decide_reachability(w, s, 0)
     assert not res.reachable
     work = index.lookups + sum(walk.compared for walk in walks)
     assert work <= 2 * length, work
