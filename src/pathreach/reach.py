@@ -30,14 +30,14 @@ each position in the index about once instead of once per round, and on
 a path decomposition, the paper's main case, it compares no positions
 beyond those lookups.  A round pushes only when its lookups, and its
 scans into walks that repeat a vertex weighed at _SCANS_PER_LOOKUP
-compared positions per lookup, cost no more than pulling every walk;
-_advance holds that rule and _push the bookkeeping.
+compared positions per lookup, cost no more than pulling every walk.
 
-One generator, _rounds, runs the frontier: it yields the registers of
-level 0, the earliest occurrences of the source, and then those of every
-level l, which point at the earliest vertices reachable with at most l
-switches.  The round-l target check therefore answers "reachable with at
-most l switches" exactly.
+One generator, _rounds, runs the frontier, every round inline in its
+loop; only the pull scan of one walk, _pull, is a function of its own.
+It yields the registers of level 0, the earliest occurrences of the
+source, and then those of every level l, which point at the earliest
+vertices reachable with at most l switches.  The round-l target check
+therefore answers "reachable with at most l switches" exactly.
 """
 
 from __future__ import annotations
@@ -49,22 +49,24 @@ from typing import Iterator
 from .decomposition import WalkDecomposition
 
 # Scalar index-sized locals live during a query, on top of the 2k
-# registers; a round uses at most eight.  A push round: the round counter,
-# the scanned walk i, its segment end, scan position q, scanned vertex v,
-# the cursor into the occurrence entries of v, the pushed walk j, and the
-# position that becomes d[j]: the entry's last position when j repeats no
-# vertex, else the position of the tuple.index scan, which becomes d[j]
-# when it finds v (dj only caches the register d[j]; the per-walk flag is
-# read-only input, like the index).  A pull round: the round counter, the
-# pulled walk j, q, v, the entry cursor, and the entry's walk i and last
-# position.  The sums and the scan bound m that pick the kind of round are
-# dead once it starts.
+# registers.  Every round runs inline in _rounds's loop, and a round uses
+# at most eight.  A push round: the round counter, the scanned walk i,
+# its segment end, scan position q, scanned vertex v, the cursor into the
+# occurrence entries of v, the pushed walk j, and the position that
+# becomes d[j]: the entry's last position when j repeats no vertex, else
+# the position of the tuple.index scan, which becomes d[j] when it finds
+# v (dj only caches the register d[j]).  A pull round: the round counter,
+# the pulled walk j, and in _pull q, v, the entry cursor, and the entry's
+# walk i and last position.  The sums and the scan bound m that pick the
+# kind of round are dead once it starts.  The per-walk flags, and the
+# flag saying whether any walk repeats a vertex, are read-only input,
+# like the index.
 _QUERY_SCRATCH_WORDS = 8
 
 # Positions tuple.index compares in the time of one pull lookup, rounded
 # down: about 10 on CPython 3.11 on a 2-vCPU x86-64 VM (12-27 ns per
 # compared position against 130-310 ns per looked-up position, on a long
-# single walk and on 64 random walks of length <= 100).  _advance weighs
+# single walk and on 64 random walks of length <= 100).  _rounds weighs
 # push scans with it; only pushes into walks that repeat a vertex scan.
 _SCANS_PER_LOOKUP = 10
 
@@ -95,87 +97,6 @@ def _pull(paths, occ, c, j) -> int:
     return c[j]
 
 
-def _push(paths, occ, repeats, c, d) -> None:
-    """Scan the new segments [c[i], d[i]) and push their vertices.
-
-    The walks are visited in index order.  Walk i scans its segment, if
-    it moved, and lowers d[j] to the first position of v in walk j, for
-    every walk j in occ[v], when that position lies below d[j].  When j
-    repeats no vertex (repeats[j] is false), that position is the entry's
-    last, and no scan is made.  Otherwise the scan for it,
-    paths[j].index(v, 0, d[j]), stops at d[j], so it covers at most c[j]
-    positions.  Once walk i's turn has begun, d[i] holds its next
-    register.  Before walk j's turn d[j] still holds j's segment end, so
-    a push into j must not overwrite it:
-    - j did not move (d[j] <= c[j]): it has no segment, and the pushed
-      position is stored as itself, below c[j];
-    - j moved (d[j] > c[j], which holds only before j's turn): j becomes
-      pending, stored as ~end, a negative int, so no flag bits are
-      needed.  A pending walk ignores later pushes, scans its segment at
-      its turn, and is left negative for _advance to pull.
-    """
-    for i in range(len(paths)):
-        end = d[i]
-        if end < 0:
-            end = ~end
-        elif end > c[i]:
-            d[i] = c[i]
-        else:
-            continue
-        vs = paths[i]
-        for q in range(c[i], end):
-            v = vs[q]
-            for j, last in occ[v]:
-                dj = d[j]
-                if dj > c[j]:
-                    d[j] = ~dj
-                elif not repeats[j]:
-                    if last < dj:
-                        d[j] = last
-                elif dj > 0:
-                    try:
-                        d[j] = paths[j].index(v, 0, dj)
-                    except ValueError:
-                        pass
-
-
-def _advance(paths, occ, repeats, c, d) -> bool:
-    """Compute the next level from c into d; return whether it moved.
-
-    On entry d holds the previous level (each walk's length before the
-    first round), so [c[i], d[i]) is the segment of walk i that the last
-    round newly reached.  A vertex at or after d[i] was known one level
-    earlier and has already lowered every register it can, so the next
-    register of walk j is c[j] lowered to the first position in j of any
-    vertex of a new segment: _push finds those, and each walk it leaves
-    pending is pulled at round end.
-
-    The round pushes only when that costs no more than pulling every
-    walk.  A pull looks up each prefix position in the index, at most
-    sum(c) lookups.  A push looks up each of the new = sum(d) - sum(c)
-    new-segment positions once.  Each index entry of its vertex for a
-    walk that repeats a vertex scans at most m positions in C, m the
-    largest register of such a walk, which costs about
-    m / _SCANS_PER_LOOKUP lookups; an entry for a path reads its last
-    position and scans nothing.  So a round with
-    new * (_SCANS_PER_LOOKUP + m) > _SCANS_PER_LOOKUP * sum(c)
-    pulls every walk instead; on a path decomposition m is 0 and the
-    rule is new > sum(c).  Either way d ends up holding the next level.
-    """
-    prefixes = sum(c)
-    new = sum(d) - prefixes
-    m = max(compress(c, repeats), default=0)
-    if new * (_SCANS_PER_LOOKUP + m) > _SCANS_PER_LOOKUP * prefixes:
-        for j in range(len(paths)):
-            d[j] = _pull(paths, occ, c, j)
-    else:
-        _push(paths, occ, repeats, c, d)
-        for j in range(len(paths)):
-            if d[j] < 0:
-                d[j] = _pull(paths, occ, c, j)
-    return d != c
-
-
 def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     """The registers of each level, from level 0 on; a walk with no
     position known holds its length.
@@ -190,6 +111,43 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     the current level, and the round after reads it as the previous level
     and then overwrites it.  Do not mutate it, and copy it to keep it
     longer than two resumptions.
+
+    Each round computes the next level from c into d.  On entry d holds
+    the previous level (each walk's length before the first round), so
+    [c[i], d[i]) is the segment of walk i that the last round newly
+    reached.  A vertex at or after d[i] was known one level earlier and
+    has already lowered every register it can, so the next register of
+    walk j is c[j] lowered to the first position in j of any vertex of a
+    new segment.
+
+    The round pushes only when that costs no more than pulling every
+    walk.  A pull looks up each prefix position in the index, at most
+    sum(c) lookups.  A push looks up each of the new = sum(d) - sum(c)
+    new-segment positions once.  Each index entry of its vertex for a
+    walk that repeats a vertex scans at most m positions in C, m the
+    largest register of such a walk, which costs about
+    m / _SCANS_PER_LOOKUP lookups; an entry for a path reads its last
+    position and scans nothing.  So a round with
+    new * (_SCANS_PER_LOOKUP + m) > _SCANS_PER_LOOKUP * sum(c)
+    pulls every walk instead; when no walk repeats a vertex m is 0, it
+    is not computed, and the rule is new > sum(c).
+
+    A push visits the walks in index order.  Walk i scans its segment, if
+    it moved, and lowers d[j] to the first position of v in walk j, for
+    every walk j in occ[v], when that position lies below d[j].  When j
+    repeats no vertex (repeats[j] is false), that position is the entry's
+    last, and no scan is made.  Otherwise the scan for it,
+    paths[j].index(v, 0, d[j]), stops at d[j], so it covers at most c[j]
+    positions.  Once walk i's turn has begun, d[i] holds its next
+    register.  Before walk j's turn d[j] still holds j's segment end, so
+    a push into j must not overwrite it:
+    - j did not move (d[j] <= c[j]): it has no segment, and the pushed
+      position is stored as itself, below c[j];
+    - j moved (d[j] > c[j], which holds only before j's turn): j becomes
+      pending, stored as ~end, a negative int, so no flag bits are
+      needed.  A pending walk ignores later pushes, scans its segment at
+      its turn, and is pulled at round end.
+    Either way d ends up holding the next level.
     """
     occ = w.occurrences
     source = occ.get(s)
@@ -197,15 +155,53 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
         return
     paths = w._paths
     repeats = w._index[1]
+    scans = any(repeats)
     c = list(map(len, paths))
     d = c[:]
     for i, last in source:
         c[i] = paths[i].index(s) if repeats[i] else last
     yield c
-    _advance(paths, occ, repeats, c, d)
-    c, d = d, c
-    yield c
-    while _advance(paths, occ, repeats, c, d):
+    level = 0
+    while True:
+        prefixes = sum(c)
+        new = sum(d) - prefixes
+        if scans:
+            m = max(compress(c, repeats), default=0)
+            new *= _SCANS_PER_LOOKUP + m
+            prefixes *= _SCANS_PER_LOOKUP
+        if new > prefixes:
+            for j in range(len(paths)):
+                d[j] = _pull(paths, occ, c, j)
+        else:
+            for i in range(len(paths)):
+                end = d[i]
+                if end < 0:
+                    end = ~end
+                elif end > c[i]:
+                    d[i] = c[i]
+                else:
+                    continue
+                vs = paths[i]
+                for q in range(c[i], end):
+                    v = vs[q]
+                    for j, last in occ[v]:
+                        dj = d[j]
+                        if dj > c[j]:
+                            d[j] = ~dj
+                        elif not repeats[j]:
+                            if last < dj:
+                                d[j] = last
+                        elif dj > 0:
+                            try:
+                                d[j] = paths[j].index(v, 0, dj)
+                            except ValueError:
+                                pass
+            for j in range(len(paths)):
+                if d[j] < 0:
+                    d[j] = _pull(paths, occ, c, j)
+        if level and d == c:
+            return
+        level += 1
         c, d = d, c
         yield c
 

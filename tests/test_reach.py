@@ -244,7 +244,7 @@ def _assert_reference_levels(w, s):
                  st.builds(minimal_path_decomposition, random_dags(max_n=10))),
        st.data())
 @settings(max_examples=120, deadline=None)
-def test_advance_matches_scan_reference(w, data):
+def test_rounds_match_scan_reference(w, data):
     if w.k == 0:
         return
     n = w.implied_vertex_count
@@ -254,7 +254,8 @@ def test_advance_matches_scan_reference(w, data):
 
 def _pulls_per_level(w, s, monkeypatch):
     """Per level of s, the walks whose register the round reaching it took
-    from a pull scan, in call order."""
+    from a pull scan, in call order, then those of the last round, which
+    moves nothing and yields no level."""
     pull, pulled = reach._pull, []
 
     def spy(paths, occ, c, j):
@@ -266,13 +267,14 @@ def _pulls_per_level(w, s, monkeypatch):
     for _ in _rounds(w, s):
         per_level.append(tuple(pulled))
         pulled.clear()
+    per_level.append(tuple(pulled))
     return per_level
 
 
 class TestRoundKinds:
-    """One fixed instance per kind of round, so a broken branch of _advance
-    or _push fails on every run; the comments trace the round that takes
-    it."""
+    """One fixed instance per kind of round, so a broken branch of the
+    round loop in _rounds fails on every run; the comments trace the round
+    that takes it."""
 
     def test_round_that_pulls_every_walk(self, monkeypatch):
         # Round 2: c = (0, 0, 1), previous level (0, 2, 1).  The new
@@ -282,7 +284,7 @@ class TestRoundKinds:
         w = WalkDecomposition([[3, 1], [1, 0], [0]])
         _assert_reference_levels(w, 3)
         assert levels(w, 3) == [(0, None, None), (0, 0, None), (0, 0, 0)]
-        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1, 2)]
+        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1, 2), (0, 1, 2)]
 
     def test_moved_walk_pushed_by_an_earlier_walk_goes_pending(self, monkeypatch):
         # Round 1: c = (2, 2, 1), previous level the walk lengths (2, 3, 3);
@@ -293,7 +295,7 @@ class TestRoundKinds:
         w = WalkDecomposition([[1, 3], [3, 2, 0], [2, 0, 2]])
         _assert_reference_levels(w, 0)
         assert levels(w, 0) == [(None, 2, 1), (None, 1, 0)]
-        assert _pulls_per_level(w, 0, monkeypatch) == [(), (2,)]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), (2,), (2,)]
 
     def test_push_into_a_walk_that_did_not_move(self, monkeypatch):
         # Round 2: c = (1, 1, 1), previous level (3, 1, 1); only walk 0
@@ -305,7 +307,7 @@ class TestRoundKinds:
         w = WalkDecomposition([[3, 1, 6], [6, 5, 1], [6]])
         _assert_reference_levels(w, 5)
         assert levels(w, 5) == [(None, 1, None), (1, 1, None), (1, 0, 0)]
-        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), ()]
+        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), (), (0, 1, 2)]
 
     def test_push_into_a_walk_that_repeats_the_vertex(self, monkeypatch):
         # Round 1: c = (4,), previous level the length (6,).  Walk 0
@@ -317,7 +319,27 @@ class TestRoundKinds:
         w = WalkDecomposition([[5, 1, 5, 2, 0, 5]])
         _assert_reference_levels(w, 0)
         assert levels(w, 0) == [(4,), (0,)]
-        assert _pulls_per_level(w, 0, monkeypatch) == [(), ()]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), (), (0,)]
+
+    def test_round_whose_new_segments_equal_the_prefixes_pushes(self, monkeypatch):
+        # Round 2: c = (2, 0), previous level (2, 2); walk 1 moved.  Both
+        # walks are paths, so the rule is new > sum(c), and new = 2 equals
+        # sum(c) = 2: the round pushes.  Walk 1's segment holds vertices 5
+        # and 2; vertex 2 lowers walk 0 from 2 to 0 with no pull.
+        w = WalkDecomposition([[2, 3, 1, 5], [5, 2]])
+        _assert_reference_levels(w, 1)
+        assert levels(w, 1) == [(2, None), (2, 0), (0, 0)]
+        assert _pulls_per_level(w, 1, monkeypatch) == [(), (), (), (0, 1)]
+
+    def test_round_whose_new_segments_pass_the_prefixes_pulls(self, monkeypatch):
+        # Round 2: c = (1, 0), previous level (1, 2); walk 1 moved.  Both
+        # walks are paths, and new = 2 is sum(c) + 1, so every walk is
+        # pulled; the pull of walk 0 finds vertex 0, which occurs at 1,
+        # after c[1] = 0, in walk 1.
+        w = WalkDecomposition([[0, 3, 5], [5, 0]])
+        _assert_reference_levels(w, 3)
+        assert levels(w, 3) == [(1, None), (1, 0), (0, 0)]
+        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1), (0, 1)]
 
 
 class _CountingIndex(dict):
@@ -461,7 +483,7 @@ def test_frontier_tracks_switch_level(w, data):
 
 @given(instances())
 @settings(max_examples=100, deadline=None)
-def test_frontier_monotone_under_advance(w):
+def test_frontier_monotone_under_rounds(w):
     if w.k == 0 or w.implied_vertex_count == 0:
         return
     regs = levels(w, w[0][0])
