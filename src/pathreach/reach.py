@@ -11,26 +11,15 @@ working state per query is the 2k registers plus a fixed handful of
 scalars, independent of the graph size.
 
 The engine reads the decomposition's read-only occurrence index: per
-vertex, the (walk, last) entry of every walk it occurs in.  A scanned
-position therefore checks only the walks that contain its vertex, not
-all k registers.  A walk with no position known holds its own length,
-which fails every comparison against a position in it.
+vertex, the (walk, last) entry of every walk it occurs in, and per walk
+whether it repeats a vertex.  A scanned position therefore checks only
+the walks that contain its vertex, not all k registers.  A walk with no
+position known holds its own length, which fails every comparison
+against a position in it.
 
-A round either pulls or pushes.  A pull scans each walk's prefix up to
-its register for a vertex known in some walk.  A push scans only the
-segments the round before newly reached, from each register up to the
-previous level's, and lowers the register of every walk containing a
-vertex found there to that vertex's first position below it.  In a walk
-that repeats no vertex, a path, the entry's last position is that first
-position, so the push reads it from the index; the index also flags,
-per walk, whether it repeats a vertex.  In a walk that repeats one, a
-tuple.index scan bounded by the register finds it.  The push segments
-of one query never overlap, so a query of many small rounds looks up
-each position in the index about once instead of once per round, and on
-a path decomposition, the paper's main case, it compares no positions
-beyond those lookups.  A round pushes only when its lookups, and its
-scans into walks that repeat a vertex weighed at _SCANS_PER_LOOKUP
-compared positions per lookup, cost no more than pulling every walk.
+A round either pulls every walk's prefix or pushes only the segments the
+round before newly reached; the _rounds docstring states both, the rule
+that picks one, and the scalars a round holds.
 
 One generator, _rounds, runs the frontier, every round inline in its
 loop; only the pull scan of one walk, _pull, is a function of its own.
@@ -43,32 +32,13 @@ therefore answers "reachable with at most l switches" exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator
 
 from .decomposition import WalkDecomposition
 
 # Scalar index-sized locals live during a query, on top of the 2k
-# registers.  Every round runs inline in _rounds's loop, and a round uses
-# at most eight.  A push round: the round counter, the scanned walk i,
-# its segment end, scan position q, scanned vertex v, the cursor into the
-# occurrence entries of v, the pushed walk j, and the position that
-# becomes d[j]: the entry's last position when j repeats no vertex, else
-# the position of the tuple.index scan, which becomes d[j] when it finds
-# v (dj only caches the register d[j]).  A pull round: the round counter,
-# the pulled walk j, and in _pull q, v, the entry cursor, and the entry's
-# walk i and last position.  The sums and the scan bound m that pick the
-# kind of round are dead once it starts.  The per-walk flags, and the
-# flag saying whether any walk repeats a vertex, are read-only input,
-# like the index.
+# registers: at most eight, listed in the _rounds docstring.
 _QUERY_SCRATCH_WORDS = 8
-
-# Positions tuple.index compares in the time of one pull lookup, rounded
-# down: about 10 on CPython 3.11 on a 2-vCPU x86-64 VM (12-27 ns per
-# compared position against 130-310 ns per looked-up position, on a long
-# single walk and on 64 random walks of length <= 100).  _rounds weighs
-# push scans with it; only pushes into walks that repeat a vertex scan.
-_SCANS_PER_LOOKUP = 10
 
 
 @dataclass(frozen=True)
@@ -120,34 +90,44 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     walk j is c[j] lowered to the first position in j of any vertex of a
     new segment.
 
-    The round pushes only when that costs no more than pulling every
-    walk.  A pull looks up each prefix position in the index, at most
-    sum(c) lookups.  A push looks up each of the new = sum(d) - sum(c)
-    new-segment positions once.  Each index entry of its vertex for a
-    walk that repeats a vertex scans at most m positions in C, m the
-    largest register of such a walk, which costs about
-    m / _SCANS_PER_LOOKUP lookups; an entry for a path reads its last
-    position and scans nothing.  So a round with
-    new * (_SCANS_PER_LOOKUP + m) > _SCANS_PER_LOOKUP * sum(c)
-    pulls every walk instead; when no walk repeats a vertex m is 0, it
-    is not computed, and the rule is new > sum(c).
+    A round either pulls or pushes.  A pull runs _pull on every walk: it
+    looks up each prefix position in the index, at most sum(c) lookups.
+    A push looks up each of the new = sum(d) - sum(c) new-segment
+    positions once.  A round with new > sum(c) therefore pulls every
+    walk, and any other round pushes.  The push segments of one query
+    never overlap, so on a path decomposition a query of many small
+    rounds looks up each position about once instead of once per round.
+    A pending walk's pull (below) rescans its prefix, so deep queries
+    over walks that repeat a vertex can make quadratic lookups.
 
     A push visits the walks in index order.  Walk i scans its segment, if
-    it moved, and lowers d[j] to the first position of v in walk j, for
-    every walk j in occ[v], when that position lies below d[j].  When j
-    repeats no vertex (repeats[j] is false), that position is the entry's
-    last, and no scan is made.  Otherwise the scan for it,
-    paths[j].index(v, 0, d[j]), stops at d[j], so it covers at most c[j]
-    positions.  Once walk i's turn has begun, d[i] holds its next
-    register.  Before walk j's turn d[j] still holds j's segment end, so
-    a push into j must not overwrite it:
+    it moved, and for each vertex v there and each walk j in occ[v]
+    lowers d[j] to the first position of v in j, when that lies below
+    d[j].  When j repeats no vertex (repeats[j] is false), that position
+    is the entry's last, so the push compares no position.  The index
+    holds no first positions, so a walk j that repeats a vertex goes
+    pending instead when d[j] > 0: nothing lies below 0, and a negative
+    d[j] is pending already.  Once walk i's turn has begun, d[i] holds
+    its next register.  Before walk j's turn d[j] still holds j's segment
+    end, so a push into j must not overwrite it:
     - j did not move (d[j] <= c[j]): it has no segment, and the pushed
       position is stored as itself, below c[j];
-    - j moved (d[j] > c[j], which holds only before j's turn): j becomes
-      pending, stored as ~end, a negative int, so no flag bits are
-      needed.  A pending walk ignores later pushes, scans its segment at
-      its turn, and is pulled at round end.
-    Either way d ends up holding the next level.
+    - j moved (d[j] > c[j], which holds only before j's turn): j goes
+      pending.
+    A pending walk stores ~d[j], a negative int, so no flag bits are
+    needed.  It ignores later pushes, scans its segment at its turn, if
+    it has one, and is pulled at round end.  Either way d ends up holding
+    the next level.
+
+    A round holds at most eight index-sized scalars beside c and d
+    (_QUERY_SCRATCH_WORDS).  A push round: the round counter, the scanned
+    walk i, its segment end, scan position q, the scanned vertex vs[q],
+    the cursor into its occurrence entries, the pushed walk j, and the
+    entry's last position, which may become d[j] (dj only caches d[j]).
+    A pull round: the round counter, the pulled walk j, and in _pull q,
+    the vertex vs[q], the entry cursor, and the entry's walk i and last
+    position.  The sums that pick the kind of round are dead once it
+    starts.  The per-walk flags are read-only input, like the index.
     """
     occ = w.occurrences
     source = occ.get(s)
@@ -155,7 +135,6 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
         return
     paths = w._paths
     repeats = w._index[1]
-    scans = any(repeats)
     c = list(map(len, paths))
     d = c[:]
     for i, last in source:
@@ -163,13 +142,7 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     yield c
     level = 0
     while True:
-        prefixes = sum(c)
-        new = sum(d) - prefixes
-        if scans:
-            m = max(compress(c, repeats), default=0)
-            new *= _SCANS_PER_LOOKUP + m
-            prefixes *= _SCANS_PER_LOOKUP
-        if new > prefixes:
+        if sum(d) - sum(c) > sum(c):
             for j in range(len(paths)):
                 d[j] = _pull(paths, occ, c, j)
         else:
@@ -183,19 +156,12 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
                     continue
                 vs = paths[i]
                 for q in range(c[i], end):
-                    v = vs[q]
-                    for j, last in occ[v]:
+                    for j, last in occ[vs[q]]:
                         dj = d[j]
-                        if dj > c[j]:
+                        if dj > c[j] or repeats[j] and dj > 0:
                             d[j] = ~dj
-                        elif not repeats[j]:
-                            if last < dj:
-                                d[j] = last
-                        elif dj > 0:
-                            try:
-                                d[j] = paths[j].index(v, 0, dj)
-                            except ValueError:
-                                pass
+                        elif last < dj:
+                            d[j] = last
             for j in range(len(paths)):
                 if d[j] < 0:
                     d[j] = _pull(paths, occ, c, j)

@@ -311,15 +311,15 @@ class TestRoundKinds:
 
     def test_push_into_a_walk_that_repeats_the_vertex(self, monkeypatch):
         # Round 1: c = (4,), previous level the length (6,).  Walk 0
-        # repeats vertex 5, at 0, 2 and 5, so its pushes scan.  The two
-        # new positions cost 2 * (10 + 4) = 28 <= 10 * 4, so the round
-        # pushes.  Vertex 0's scan of [0, 4) finds nothing.  Vertex 5's
-        # last position, 5, is not below d[0] = 4, but its scan returns
-        # its first position, 0, with no pull.
+        # repeats vertex 5, at 0, 2 and 5, so the index holds no first
+        # positions for it.  The two new positions cost no more than the
+        # prefix of 4, so the round pushes.  Vertex 0 makes walk 0
+        # pending, since d[0] = 4 > 0; vertex 5 then skips it, and the
+        # pull at round end finds vertex 5 at position 0.
         w = WalkDecomposition([[5, 1, 5, 2, 0, 5]])
         _assert_reference_levels(w, 0)
         assert levels(w, 0) == [(4,), (0,)]
-        assert _pulls_per_level(w, 0, monkeypatch) == [(), (), (0,)]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), (0,), (0,)]
 
     def test_round_whose_new_segments_equal_the_prefixes_pushes(self, monkeypatch):
         # Round 2: c = (2, 0), previous level (2, 2); walk 1 moved.  Both
@@ -376,20 +376,43 @@ def _counted(w):
     return index, walks
 
 
-@pytest.mark.parametrize("n", [200, 400, 800, 1600])
-def test_chain_query_index_lookups_are_linear_in_n(n):
+@pytest.mark.parametrize("n, repeats", [
+    pytest.param(200, False, id="200"),
+    pytest.param(400, False, id="400"),
+    pytest.param(800, False, id="800"),
+    pytest.param(1600, False, id="1600"),
+    pytest.param(200, True, id="200-repeats"),
+    pytest.param(1600, True, id="1600-repeats"),
+])
+def test_chain_query_index_lookups_are_linear_in_n(n, repeats):
     # The query 0 -> n-1 on switch_chain(n, 4) runs about n rounds.  A
     # push round looks up only the positions the round before newly
     # reached, so each of the ~2n positions is looked up about once;
     # pulling every prefix in every round would make ~n^2 lookups.  Every
     # walk is a path, so a push reads first positions from the index and
-    # no tuple.index scan compares a position.
+    # compares no position.
+    #
+    # With repeats, each walk gets its second-to-last vertex appended, so
+    # every walk repeats a vertex and the route is unchanged.  Only the
+    # level-0 lookups of the source compare positions.  Each push into a
+    # walk makes it pending, and its pull rescans its prefix: 29,606
+    # lookups at n = 200 and 1,916,806 at n = 1600, quadratic in n.
+    # Stored first positions would make pushes into such walks read the
+    # index as on paths, and these lookups linear.
     w = switch_chain(n, 4)
+    if repeats:
+        w = WalkDecomposition([walk.vertices + walk.vertices[-2:-1] for walk in w])
+    source_scans = sum(vs.index(0) + 1 for vs in w._paths if 0 in vs)
     index, walks = _counted(w)
     res = decide_reachability(w, 0, n - 1)
     assert res.min_switches == n - 2
-    assert index.lookups <= 2 * n, index.lookups
-    assert sum(walk.compared for walk in walks) == 0
+    compared = sum(walk.compared for walk in walks)
+    if repeats:
+        assert compared <= source_scans, compared
+        assert index.lookups <= n * n, index.lookups
+    else:
+        assert compared == 0
+        assert index.lookups <= 2 * n, index.lookups
 
 
 @pytest.mark.parametrize("length, repeats", [
@@ -401,12 +424,13 @@ def test_chain_query_index_lookups_are_linear_in_n(n):
 def test_long_walk_query_work_is_linear_in_length(length, repeats):
     # One walk, the source two thirds in and the target before it.  The
     # first round's new segment is the last third, no longer than the
-    # prefix.  On a path the round pushes it, reading each vertex's
-    # position from the index with no scan.  When the walk repeats a
-    # vertex (here one past the source, once more at the end), pushing
-    # would scan the prefix once per segment position, ~length^2 / 4.5
-    # compared positions; the round pulls instead and looks up the prefix
-    # once.
+    # prefix, so the round pushes it.  On a path each vertex's position
+    # comes from the index and no position is compared.  When the walk
+    # repeats a vertex (here one past the source, once more at the end),
+    # the source's lookup compares its prefix, the source's own push
+    # makes the walk pending, and one pull at round end looks up the
+    # prefix once: 1001 lookups plus 667 compared positions at length
+    # 1000.
     s = 2 * length // 3
     w = WalkDecomposition([list(range(length)) + [s + 1] * repeats])
     index, walks = _counted(w)
