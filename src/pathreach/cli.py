@@ -43,26 +43,22 @@ class ExitStatus(IntEnum):
     USAGE = 2     # usage or input error
 
 
-class _InputError(Exception):
-    """Input-level failure reported as a one-line diagnostic, exit code 2."""
-
-
 def _read_text(path: str) -> str:
+    if path == "-" and sys.stdin is None:
+        raise ValueError("cannot read -: stdin is closed")
     try:
         if path == "-":
-            if sys.stdin is None:
-                raise _InputError("cannot read -: stdin is closed")
             # Decode stdin as strict UTF-8 like files, whatever the locale.
             raw = getattr(sys.stdin, "buffer", None)
             return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     except ValueError as exc:  # open() refuses a path with a NUL byte
-        raise _InputError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _load(path: str, parse):
@@ -70,7 +66,7 @@ def _load(path: str, parse):
     try:
         return parse(_read_text(path))
     except (GraphFormatError, DecompositionFormatError) as exc:
-        raise _InputError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
@@ -82,7 +78,7 @@ def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
     g = _load(args.graph, parse_graph)
     report = validate_walk_decomposition(g, w)
     if not report.ok:
-        raise _InputError(
+        raise ValueError(
             f"decomposition does not cover the graph "
             f"({len(report.violations)} violations, run validate for details)")
     return w, g.n
@@ -151,7 +147,7 @@ def _cmd_oracle(args) -> int:
         reachable = oracle_reachable(_load(args.graph, parse_graph), args.src, args.dst)
         print("REACHABLE" if reachable else "UNREACHABLE")
     else:
-        raise _InputError("oracle needs --decomp or --graph")
+        raise ValueError("oracle needs --decomp or --graph")
     return ExitStatus.OK if reachable else ExitStatus.NEGATIVE
 
 
@@ -233,10 +229,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         # Stdin can be read once: checked before either file is read.
         if getattr(args, "graph", None) == "-" == getattr(args, "decomp", None):
-            raise _InputError("stdin ('-') given for both --graph and --decomp")
+            raise ValueError("stdin ('-') given for both --graph and --decomp")
         return args.func(args)
-    except (_InputError, ValueError) as exc:
-        # A ValueError from the library names an argument out of its range.
+    except ValueError as exc:
+        # An unreadable or malformed input, or a library ValueError naming
+        # an argument out of its range.
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.USAGE
     except BrokenPipeError:

@@ -35,11 +35,11 @@ def minimal_path_decomposition(g: Digraph) -> WalkDecomposition:
     # j-th successor, and the starts are the successors past indeg(v).
     # continuations[v][u] is the vertex after v when v was entered from u;
     # u is absent when the trace ends at v.
-    successors, predecessors = g._adjacency()
-    continuations = {v: dict(zip(us, successors[v])) for v, us in predecessors.items()}
+    adjacency = g._adjacency
+    continuations = {v: dict(zip(us, xs)) for v, (xs, us) in adjacency.items()}
     paths = []
-    for v in sorted(successors):
-        for x in successors[v][len(predecessors[v]):]:
+    for v, (xs, us) in sorted(adjacency.items()):
+        for x in xs[len(us):]:
             path = [v, x]
             u, y = v, x
             z = continuations[y].get(u)

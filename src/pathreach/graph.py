@@ -13,14 +13,12 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
+from functools import cached_property
 from itertools import islice, repeat
 from operator import add, eq, floordiv, index, lt, mod, mul
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
-
-# Per vertex with an edge, its sorted neighbors on one side.
-_Adjacency = dict[int, tuple[int, ...]]
 
 
 # Largest header N that parse_graph accepts, the limit README "File
@@ -35,8 +33,6 @@ class GraphFormatError(ValueError):
 
 class Digraph:
     """Simple directed graph on vertices 0..n-1, immutable after construction."""
-
-    __slots__ = ("_n", "_keys", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -66,14 +62,20 @@ class Digraph:
     def _init(self, n: int, keys: tuple[int, ...]) -> None:
         self._n = n
         self._keys = keys
-        self._adj: tuple[_Adjacency, _Adjacency] | None = None
 
-    def _adjacency(self) -> tuple[_Adjacency, _Adjacency]:
-        """(successors, predecessors) as _build_adjacency gives them, built
-        on first use: checking a cover against the graph needs only keys."""
-        if self._adj is None:
-            self._adj = _build_adjacency(self._n, self._keys)
-        return self._adj
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(successors, predecessors) of each vertex with an edge, both
+        ascending because the keys ascend, () on a side with no edge.
+        Memory follows the edges, not the vertex count.  Built on first
+        use: checking a cover against the graph needs only the keys."""
+        out: defaultdict[int, list[int]] = defaultdict(list)
+        inc: defaultdict[int, list[int]] = defaultdict(list)
+        for u, v in zip(*_key_ends(self._n, self._keys)):
+            out[u].append(v)
+            inc[v].append(u)
+        return {v: (tuple(out.get(v, ())), tuple(inc.get(v, ())))
+                for v in out.keys() | inc.keys()}
 
     @property
     def n(self) -> int:
@@ -95,12 +97,12 @@ class Digraph:
     def successors(self, v: int) -> tuple[int, ...]:
         """Out-neighbors of v in ascending order."""
         self._check_vertex(v)
-        return self._adjacency()[0].get(v, ())
+        return self._adjacency.get(v, ((), ()))[0]
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         """In-neighbors of v in ascending order."""
         self._check_vertex(v)
-        return self._adjacency()[1].get(v, ())
+        return self._adjacency.get(v, ((), ()))[1]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
@@ -130,40 +132,19 @@ def _key_ends(n: int, keys: tuple[int, ...]) -> tuple[Iterator[int], Iterator[in
     return map(floordiv, keys, repeat(n)), map(mod, keys, repeat(n))
 
 
-def _build_adjacency(n: int, keys: tuple[int, ...]) -> tuple[_Adjacency, _Adjacency]:
-    """Sorted successors and predecessors of every vertex with an edge.
-
-    Both dicts have exactly those vertices as keys (with () for a missing
-    side), so memory follows the edges, not the vertex count, and a walk
-    along edges can index either dict at every vertex it reaches.  The
-    keys ascend, so each list is filled in ascending order.
-    """
-    out: defaultdict[int, list[int]] = defaultdict(list)
-    inc: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in zip(*_key_ends(n, keys)):
-        out[u].append(v)
-        inc[v].append(u)
-    succ: _Adjacency = {}
-    pred: _Adjacency = {}
-    for v in out.keys() | inc.keys():
-        succ[v] = tuple(out.get(v, ()))
-        pred[v] = tuple(inc.get(v, ()))
-    return succ, pred
-
-
 def is_acyclic(g: Digraph) -> bool:
     """True iff g contains no directed cycle (iterative Kahn peeling).
 
     Only vertices with an edge are peeled; the others cannot lie on a cycle.
     """
-    succ, pred = g._adjacency()
-    indeg = {v: len(us) for v, us in pred.items()}
+    adjacency = g._adjacency
+    indeg = {v: len(us) for v, (_, us) in adjacency.items()}
     stack = [v for v, d in indeg.items() if d == 0]
     seen = 0
     while stack:
         u = stack.pop()
         seen += 1
-        for w in succ[u]:
+        for w in adjacency[u][0]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 stack.append(w)

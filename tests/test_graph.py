@@ -364,6 +364,10 @@ def test_representation_matches_tuple_set_model(case):
         for v in range(n):
             assert g.successors(v) == tuple(sorted(b for a, b in model if a == v))
             assert g.predecessors(v) == tuple(sorted(a for a, b in model if b == v))
+        # One map holds both sides, keyed by exactly the vertices with an edge.
+        assert g._adjacency.keys() == {v for edge in model for v in edge}
+        for v, sides in g._adjacency.items():
+            assert sides == (g.successors(v), g.predecessors(v))
         assert g == graphs[0] and hash(g) == hash(graphs[0])
     assert graphs[0] != Digraph(n + 1, edges)
     if edges:
