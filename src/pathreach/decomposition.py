@@ -88,10 +88,10 @@ class WalkDecomposition:
     """An ordered family of walks, held as the walks' vertex tuples.
 
     The Walk objects of the public view and the derived occurrence index
-    (per vertex, its last position in each walk that contains it, and per
-    walk, whether it repeats a vertex) are built on first use and cached;
-    the index is query-independent input representation, shared by all
-    reachability queries on the instance.
+    (per vertex, its last position in each walk that contains it, per
+    walk whether it repeats a vertex, and whether any walk does) are built
+    on first use and cached; the index is query-independent input
+    representation, shared by all reachability queries on the instance.
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
@@ -128,11 +128,14 @@ class WalkDecomposition:
         return self._index[0]
 
     @cached_property
-    def _index(self) -> tuple[dict[int, tuple[tuple[int, int], ...]], tuple[bool, ...]]:
-        """The occurrence index and, per walk, whether the walk repeats a
-        vertex, built in one pass: a walk repeats a vertex exactly when it
-        has fewer distinct vertices than positions.  In a walk that does
-        not, last is the vertex's only position."""
+    def _index(
+        self,
+    ) -> tuple[dict[int, tuple[tuple[int, int], ...]], tuple[bool, ...], bool]:
+        """The occurrence index, per walk whether the walk repeats a
+        vertex, and whether any walk does, built in one pass: a walk
+        repeats a vertex exactly when it has fewer distinct vertices than
+        positions.  In a walk that does not, last is the vertex's only
+        position."""
         by_vertex: dict[int, list[tuple[int, int]]] = {}
         repeats = []
         for i, vs in enumerate(self._paths):
@@ -140,7 +143,8 @@ class WalkDecomposition:
             repeats.append(len(lasts) < len(vs))
             for v, last in lasts.items():
                 by_vertex.setdefault(v, []).append((i, last))
-        return {v: tuple(entries) for v, entries in by_vertex.items()}, tuple(repeats)
+        occ = {v: tuple(entries) for v, entries in by_vertex.items()}
+        return occ, tuple(repeats), any(repeats)
 
     def __len__(self) -> int:
         return len(self._paths)

@@ -11,15 +11,16 @@ working state per query is the 2k registers plus a fixed handful of
 scalars, independent of the graph size.
 
 The engine reads the decomposition's read-only occurrence index: per
-vertex, the (walk, last) entry of every walk it occurs in, and per walk
-whether it repeats a vertex.  A scanned position therefore checks only
-the walks that contain its vertex, not all k registers.  A walk with no
-position known holds its own length, which fails every comparison
-against a position in it.
+vertex, the (walk, last) entry of every walk it occurs in, per walk
+whether it repeats a vertex, and whether any walk does.  A scanned
+position therefore checks only the walks that contain its vertex, not
+all k registers.  A walk with no position known holds its own length,
+which fails every comparison against a position in it.
 
-A round either pulls every walk's prefix or pushes only the segments the
-round before newly reached; the _rounds docstring states both, the rule
-that picks one, and the scalars a round holds.
+A round pushes only the segments the round before newly reached; when
+some walk repeats a vertex, a cost rule may pull every walk's prefix
+instead.  The _rounds docstring states both kinds of round, the rule,
+when a walk is pulled on its own, and the scalars a round holds.
 
 One generator, _rounds, runs the frontier, every round inline in its
 loop; only the pull scan of one walk, _pull, is a function of its own.
@@ -93,12 +94,17 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     A round either pulls or pushes.  A pull runs _pull on every walk: it
     looks up each prefix position in the index, at most sum(c) lookups.
     A push looks up each of the new = sum(d) - sum(c) new-segment
-    positions once.  A round with new > sum(c) therefore pulls every
-    walk, and any other round pushes.  The push segments of one query
-    never overlap, so on a path decomposition a query of many small
-    rounds looks up each position about once instead of once per round.
-    A pending walk's pull (below) rescans its prefix, so deep queries
-    over walks that repeat a vertex can make quadratic lookups.
+    positions once.  When some walk repeats a vertex (any_repeats), a
+    round with new > sum(c) therefore pulls every walk, and any other
+    round pushes.  On a path decomposition the rule and its sums are
+    skipped and every round pushes.  The push segments of one query never
+    overlap, so pushes look up each position at most once per query.  A
+    pending walk's pull (below) rescans its prefix, so deep queries can
+    make quadratic lookups: over walks that repeat a vertex, and over
+    paths too.  On paths, walk j is pulled only in a round after one in
+    which it moved, so its pulls see strictly decreasing c[j] < len(j)
+    and make at most len(j)(len(j) - 1)/2 lookups in all; the two-path
+    ladder of the tests reaches that order.
 
     A push visits the walks in index order.  Walk i scans its segment, if
     it moved, and for each vertex v there and each walk j in occ[v]
@@ -115,9 +121,14 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     - j moved (d[j] > c[j], which holds only before j's turn): j goes
       pending.
     A pending walk stores ~d[j], a negative int, so no flag bits are
-    needed.  It ignores later pushes, scans its segment at its turn, if
-    it has one, and is pulled at round end.  Either way d ends up holding
-    the next level.
+    needed.  It ignores later pushes and scans its segment at its turn,
+    if it has one.  A pending path is then pulled at once: a pull from c
+    gives its complete next register, which no later push can lower, and
+    a path cannot go pending after its turn, since from then on
+    d[i] <= c[i].  A walk that repeats a vertex can go pending after its
+    turn too, so it is pulled at round end, by a sweep that runs only
+    when some walk repeats a vertex.  Either way d ends up holding the
+    next level.
 
     A round holds at most eight index-sized scalars beside c and d
     (_QUERY_SCRATCH_WORDS).  A push round: the round counter, the scanned
@@ -126,15 +137,17 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     entry's last position, which may become d[j] (dj only caches d[j]).
     A pull round: the round counter, the pulled walk j, and in _pull q,
     the vertex vs[q], the entry cursor, and the entry's walk i and last
-    position.  The sums that pick the kind of round are dead once it
-    starts.  The per-walk flags are read-only input, like the index.
+    position.  The pull of a pending path at its turn holds seven: the
+    round counter, the walk i, and _pull's five.  The sums that pick the
+    kind of round are dead once it starts.  The per-walk flags and
+    any_repeats are read-only input, like the index.
     """
     occ = w.occurrences
     source = occ.get(s)
     if source is None:
         return
     paths = w._paths
-    repeats = w._index[1]
+    _, repeats, any_repeats = w._index
     c = list(map(len, paths))
     d = c[:]
     for i, last in source:
@@ -142,12 +155,11 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     yield c
     level = 0
     while True:
-        if sum(d) - sum(c) > sum(c):
+        if any_repeats and sum(d) - sum(c) > sum(c):
             for j in range(len(paths)):
                 d[j] = _pull(paths, occ, c, j)
         else:
-            for i in range(len(paths)):
-                end = d[i]
+            for i, end in enumerate(d):
                 if end < 0:
                     end = ~end
                 elif end > c[i]:
@@ -162,9 +174,12 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
                             d[j] = ~dj
                         elif last < dj:
                             d[j] = last
-            for j in range(len(paths)):
-                if d[j] < 0:
-                    d[j] = _pull(paths, occ, c, j)
+                if d[i] < 0 and not repeats[i]:
+                    d[i] = _pull(paths, occ, c, i)
+            if any_repeats:
+                for j in range(len(paths)):
+                    if d[j] < 0:
+                        d[j] = _pull(paths, occ, c, j)
         if level and d == c:
             return
         level += 1

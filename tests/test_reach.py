@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -185,9 +186,11 @@ class TestMeter:
 def test_occurrence_index_matches_scan(w):
     # Per vertex, one (walk, last) entry per walk containing it, in walk
     # order; vertices that occur nowhere are not keys.  Per walk, the
-    # same pass flags whether it repeats a vertex.
+    # same pass flags whether it repeats a vertex, and whether any walk
+    # does.
     occ = w.occurrences
-    assert w._index == (occ, tuple(not walk.is_simple for walk in w))
+    repeats = tuple(not walk.is_simple for walk in w)
+    assert w._index == (occ, repeats, any(repeats))
     assert set(occ) == {v for walk in w for v in walk.vertices}
     for v in range(w.implied_vertex_count + 2):
         expected = []
@@ -277,14 +280,27 @@ class TestRoundKinds:
     that takes it."""
 
     def test_round_that_pulls_every_walk(self, monkeypatch):
+        # Round 1: c = (1, 0), previous level the walk lengths (1, 3).
+        # Walk 1 repeats vertex 6, so the rule runs: the new segment (3
+        # positions) costs more to push than the prefixes (1) cost to
+        # pull, so every walk is pulled, and the pull of walk 0 finds
+        # vertex 3, which occurs at 1, after c[1] = 0, in walk 1.  Round 2,
+        # with new = 1 > sum(c) = 0, pulls both walks again.
+        w = WalkDecomposition([[3], [6, 3, 6]])
+        _assert_reference_levels(w, 6)
+        assert levels(w, 6) == [(None, 0), (0, 0)]
+        assert _pulls_per_level(w, 6, monkeypatch) == [(), (0, 1), (0, 1)]
+
+    def test_path_round_never_pulls_every_walk(self, monkeypatch):
         # Round 2: c = (0, 0, 1), previous level (0, 2, 1).  The new
-        # segments (2 positions) cost more to push than the prefixes (1)
-        # cost to pull, so every walk is pulled, and the pull of walk 2
-        # finds vertex 0, which occurs at c[1] in walk 1.
+        # segments (2 positions) would cost more to push than the prefixes
+        # (1) cost to pull, but every walk is a path, so the rule does not
+        # run and the round pushes: walk 1's segment holds vertex 0, whose
+        # entry lowers walk 2 from 1 to 0.  No round pulls anything.
         w = WalkDecomposition([[3, 1], [1, 0], [0]])
         _assert_reference_levels(w, 3)
         assert levels(w, 3) == [(0, None, None), (0, 0, None), (0, 0, 0)]
-        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1, 2), (0, 1, 2)]
+        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (), ()]
 
     def test_moved_walk_pushed_by_an_earlier_walk_goes_pending(self, monkeypatch):
         # Round 1: c = (2, 2, 1), previous level the walk lengths (2, 3, 3);
@@ -304,10 +320,14 @@ class TestRoundKinds:
         # nothing.  Vertex 1 lies in walks 0 and 1 at or after their
         # registers only, so it lowers nothing; vertex 6 lowers walks 1
         # and 2, still waiting for their turns, from 1 to 0 with no pull.
+        # Round 3, which moves nothing: c = (1, 0, 0), previous level
+        # (1, 1, 1).  Walk 1's segment holds vertex 6 again, and walk 2,
+        # which moved, goes pending before its turn; it is pulled at its
+        # own turn, from an empty prefix.
         w = WalkDecomposition([[3, 1, 6], [6, 5, 1], [6]])
         _assert_reference_levels(w, 5)
         assert levels(w, 5) == [(None, 1, None), (1, 1, None), (1, 0, 0)]
-        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), (), (0, 1, 2)]
+        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), (), (2,)]
 
     def test_push_into_a_walk_that_repeats_the_vertex(self, monkeypatch):
         # Round 1: c = (4,), previous level the length (6,).  Walk 0
@@ -322,24 +342,28 @@ class TestRoundKinds:
         assert _pulls_per_level(w, 0, monkeypatch) == [(), (0,), (0,)]
 
     def test_round_whose_new_segments_equal_the_prefixes_pushes(self, monkeypatch):
-        # Round 2: c = (2, 0), previous level (2, 2); walk 1 moved.  Both
-        # walks are paths, so the rule is new > sum(c), and new = 2 equals
-        # sum(c) = 2: the round pushes.  Walk 1's segment holds vertices 5
-        # and 2; vertex 2 lowers walk 0 from 2 to 0 with no pull.
-        w = WalkDecomposition([[2, 3, 1, 5], [5, 2]])
+        # Walk 1 repeats vertex 3, so the rule runs.  Round 1: c = (2, 2),
+        # previous level the lengths (2, 4); new = 2 < sum(c) = 4, so the
+        # round pushes.  Vertex 1 makes walk 1 pending, and its pull at
+        # round end finds vertex 3, which occurs again at 3.  Round 2:
+        # c = (2, 0), previous level (2, 2); new = 2 equals sum(c) = 2, so
+        # the round pushes.  Walk 1's segment holds vertex 4, which lowers
+        # walk 0 from 2 to 0 with no pull.
+        w = WalkDecomposition([[4, 5], [3, 4, 1, 3]])
         _assert_reference_levels(w, 1)
-        assert levels(w, 1) == [(2, None), (2, 0), (0, 0)]
-        assert _pulls_per_level(w, 1, monkeypatch) == [(), (), (), (0, 1)]
+        assert levels(w, 1) == [(None, 2), (None, 0), (0, 0)]
+        assert _pulls_per_level(w, 1, monkeypatch) == [(), (1,), (), (0, 1)]
 
     def test_round_whose_new_segments_pass_the_prefixes_pulls(self, monkeypatch):
-        # Round 2: c = (1, 0), previous level (1, 2); walk 1 moved.  Both
-        # walks are paths, and new = 2 is sum(c) + 1, so every walk is
-        # pulled; the pull of walk 0 finds vertex 0, which occurs at 1,
-        # after c[1] = 0, in walk 1.
-        w = WalkDecomposition([[0, 3, 5], [5, 0]])
-        _assert_reference_levels(w, 3)
-        assert levels(w, 3) == [(1, None), (1, 0), (0, 0)]
-        assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (0, 1), (0, 1)]
+        # Walk 1 repeats vertex 1, so the rule runs.  Round 1: c = (2, 1),
+        # previous level the lengths (2, 3); new = 2 < sum(c) = 3, so the
+        # round pushes: vertex 1 lowers walk 0 to 1, and walk 1, pending,
+        # is pulled at round end to 0.  Round 2: c = (1, 0), previous
+        # level (2, 1); new = 2 is sum(c) + 1, so every walk is pulled.
+        w = WalkDecomposition([[2, 1], [1, 4, 1]])
+        _assert_reference_levels(w, 4)
+        assert levels(w, 4) == [(None, 1), (1, 0)]
+        assert _pulls_per_level(w, 4, monkeypatch) == [(), (1,), (0, 1)]
 
 
 class _CountingIndex(dict):
@@ -438,6 +462,88 @@ def test_long_walk_query_work_is_linear_in_length(length, repeats):
     assert not res.reachable
     work = index.lookups + sum(walk.compared for walk in walks)
     assert work <= 2 * length, work
+
+
+def simple_walks(max_n=12, max_k=5, max_len=10):
+    # Families of simple walks (paths): no vertex repeats within a walk,
+    # so no walk has a loop step either.
+    walk = st.lists(st.integers(min_value=0, max_value=max_n - 1),
+                    min_size=1, max_size=max_len, unique=True)
+    return st.builds(WalkDecomposition, st.lists(walk, max_size=max_k))
+
+
+@given(st.one_of(simple_walks(),
+                 st.builds(minimal_path_decomposition, random_dags(max_n=12))))
+@settings(max_examples=100, deadline=None)
+def test_path_query_work_bound(w):
+    # On paths every round pushes, and a pending walk is pulled at its
+    # own turn.  Push segments never overlap, so pushes look up each of
+    # the L positions at most once.  A pull of walk j from c looks up at
+    # most c[j] positions, and j is pulled only in a round after one in
+    # which it moved, so its pulls see strictly decreasing c[j] below
+    # len(j): at most len(j)(len(j) - 1)/2 lookups in all.  The ladder
+    # family below shows that this quadratic term is real.  No position
+    # is compared, since a path's first positions are its last ones.
+    lengths = list(map(len, w._paths))
+    index, walks = _counted(w)
+    pull, pulled = reach._pull, []
+
+    def spy(paths, occ, c, j):
+        before = index.lookups
+        q = pull(paths, occ, c, j)
+        pulled.append((j, c[j], index.lookups - before))
+        return q
+
+    vertices = sorted(w.occurrences)
+    with mock.patch.object(reach, "_pull", spy):
+        for s in vertices:
+            for t in vertices:
+                index.lookups = 0
+                pulled.clear()
+                decide_reachability(w, s, t)
+                assert sum(walk.compared for walk in walks) == 0
+                pull_lookups = sum(n for _, _, n in pulled)
+                assert index.lookups - pull_lookups <= sum(lengths), (s, t)
+                for j, cj, n in pulled:
+                    assert n <= cj < lengths[j], (s, t, j)
+                for j in range(w.k):
+                    seen = [cj for i, cj, _ in pulled if i == j]
+                    assert seen == sorted(set(seen), reverse=True), (s, t, j)
+
+
+def _ladder(m):
+    """Two paths over which the query 0 -> 2m + 3 moves both registers two
+    positions each round, for m - 1 rounds.
+
+    With a_1 = b_1 = 0 and a_r = 2r, b_r = 2r + 1 for r > 1, walk 0 lists
+    the pairs (a_r, b_{r+1}) and walk 1 the pairs (b_r, a_{r+1}), for r
+    from m down to 1.  Round r reaches a_{r+1} in walk 0 through walk 1
+    and b_{r+1} in walk 1 through walk 0.
+    """
+    a = [0] + [2 * r for r in range(2, m + 2)]
+    b = [0] + [2 * r + 1 for r in range(2, m + 2)]
+    return WalkDecomposition([
+        [v for r in range(m - 1, -1, -1) for v in (a[r], b[r + 1])],
+        [v for r in range(m - 1, -1, -1) for v in (b[r], a[r + 1])],
+    ])
+
+
+@pytest.mark.parametrize("m", [10, 40, 160])
+def test_ladder_query_pending_pulls_are_quadratic(m):
+    # Each round, walk 0's new segment holds a vertex of walk 1, which
+    # moved the round before and has not had its turn: walk 1 goes
+    # pending, and its pull at its turn scans its prefix, which shrinks by
+    # two positions per round.  So the query makes (m + 3)(m - 1)
+    # lookups, 25,917 at m = 160 against L = 4m = 640 positions: on paths
+    # the pending pulls are quadratic, not bounded by 2L.  Storing the
+    # pushed position of a pending path would need a third value per walk
+    # beside c and d.
+    w = _ladder(m)
+    index, walks = _counted(w)
+    res = decide_reachability(w, 0, 2 * m + 3)
+    assert res.min_switches == m - 1
+    assert sum(walk.compared for walk in walks) == 0
+    assert index.lookups == (m + 3) * (m - 1)
 
 
 def _strict_levels(w, s):
