@@ -87,11 +87,8 @@ def _check_walk(vs: tuple[int, ...]) -> None:
 class WalkDecomposition:
     """An ordered family of walks, held as the walks' vertex tuples.
 
-    The Walk objects of the public view and the derived occurrence index
-    (per vertex, its last position in each walk that contains it, per
-    walk whether it repeats a vertex, and whether any walk does) are built
-    on first use and cached; the index is query-independent input
-    representation, shared by all reachability queries on the instance.
+    The Walk objects of the public view and the occurrence index that
+    reachability queries read are built on first use and cached.
     """
 
     def __init__(self, walks: Iterable[Walk | Sequence[int]] = ()) -> None:
@@ -118,24 +115,21 @@ class WalkDecomposition:
         return max(chain.from_iterable(self._paths), default=-1) + 1
 
     @cached_property
-    def occurrences(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """Per vertex, one (walk, last) entry for each walk it occurs in.
-
-        Entries are in walk order; last is the largest position of the
-        vertex in that walk.  Only vertices that occur are keys, so the
-        index is sized by the input, not by the largest vertex id.
-        """
-        return self._index[0]
-
-    @cached_property
     def _index(
         self,
     ) -> tuple[dict[int, tuple[tuple[int, int], ...]], tuple[bool, ...], bool]:
-        """The occurrence index, per walk whether the walk repeats a
-        vertex, and whether any walk does, built in one pass: a walk
-        repeats a vertex exactly when it has fewer distinct vertices than
-        positions.  In a walk that does not, last is the vertex's only
-        position."""
+        """The occurrence index: read-only input, derived once per
+        instance and shared by all queries.
+
+        It is the triple (occ, repeats, any_repeats).  occ maps each vertex
+        that occurs to one (walk, last) entry per walk containing it, in
+        walk order, where last is the vertex's largest position in that
+        walk; it holds at most one entry per position, whatever the
+        largest vertex id.  repeats[i] tells whether walk i repeats a
+        vertex, which it does exactly when it has fewer distinct vertices
+        than positions; in a walk that does not, last is the vertex's only
+        position.  any_repeats tells whether any walk does.
+        """
         by_vertex: dict[int, list[tuple[int, int]]] = {}
         repeats = []
         for i, vs in enumerate(self._paths):
@@ -190,6 +184,7 @@ class ValidationReport:
 
 def union_graph(w: WalkDecomposition, n: int) -> Digraph:
     """Digraph on n vertices whose edges are the deduplicated steps of w."""
+    n = index(n)
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if w.implied_vertex_count > n:

@@ -35,6 +35,7 @@ class Digraph:
     """Simple directed graph on vertices 0..n-1, immutable after construction."""
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        n = index(n)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         keys: set[int] = set()  # a repeated edge counts once
@@ -91,7 +92,7 @@ class Digraph:
         return len(self._keys)
 
     def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self._n):
+        if not (0 <= index(v) < self._n):
             raise ValueError(f"vertex {v} outside [0, {self._n})")
 
     def successors(self, v: int) -> tuple[int, ...]:

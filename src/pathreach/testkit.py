@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 from typing import Iterator
 
 from .decomposition import WalkDecomposition
@@ -61,7 +62,8 @@ def oracle_reachable(g: Digraph, s: int, t: int) -> bool:
 
 def _universe(w: WalkDecomposition, s: int, n: int | None) -> int:
     nv = w.implied_vertex_count
-    universe = nv if n is None else n
+    universe = nv if n is None else index(n)
+    s = index(s)
     if universe < nv:
         raise ValueError(f"universe {universe} smaller than implied vertex count {nv}")
     if not (0 <= s < universe):
@@ -124,7 +126,7 @@ def oracle_min_switches(
     w: WalkDecomposition, s: int, t: int, n: int | None = None
 ) -> int | None:
     universe = _universe(w, s, n)
-    if not (0 <= t < universe):
+    if not (0 <= index(t) < universe):
         raise ValueError(f"target {t} outside [0, {universe})")
     return _switch_cost_map(w, s).get(t)
 

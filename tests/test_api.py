@@ -2,9 +2,9 @@
 
 Every name `pathreach` exports, and every public method and property of
 an exported class, must appear in README.md, and README's library example
-must run as shown; the names of the retired API must not come back.  That
-the oracles in `pathreach.testkit` stay independent of the engine is
-checked in `tests/test_lint.py`.
+must run as shown; README names no private symbol, and the names of the
+retired API must not come back.  That the oracles in `pathreach.testkit`
+stay independent of the engine is checked in `tests/test_lint.py`.
 """
 
 import dataclasses
@@ -33,7 +33,11 @@ RETIRED = (
     "degrees",
     "DegreePair",
 )
-RETIRED_MEMBERS = (("Digraph", "has_edge"), ("WalkDecomposition", "max_vertex"))
+RETIRED_MEMBERS = (
+    ("Digraph", "has_edge"),
+    ("WalkDecomposition", "max_vertex"),
+    ("WalkDecomposition", "occurrences"),
+)
 
 
 def _readme_spans() -> list[str]:
@@ -69,6 +73,13 @@ def test_class_member_is_documented(cls, member):
     pattern = re.compile(rf"(?:{cls}\.)?{member}(?:\(.*\))?")
     assert any(map(pattern.fullmatch, _readme_spans())), (
         f"{cls}.{member} is public but no README code span names it")
+
+
+def test_readme_names_no_private_symbol():
+    # A name segment with one leading underscore, such as the _b of a._b,
+    # is private; dunders like __init__ are not caught.
+    private = [span for span in _readme_spans() if re.search(r"(?<!\w)_(?!_)\w", span)]
+    assert not private, f"README code spans name private symbols: {private}"
 
 
 @pytest.mark.parametrize("cls, member", RETIRED_MEMBERS)

@@ -333,14 +333,21 @@ def test_walk_diagnostic(vertices, message):
     assert str(info.value) == message
 
 
-# A float or str id raises instead of being truncated or split into digits.
+# A float or str id or vertex count raises instead of being truncated,
+# split into digits or silently kept.
 @pytest.mark.parametrize("build", [
     lambda: Walk([0.5, 1.7]),
     lambda: Walk(["1", "2"]),
     lambda: WalkDecomposition(["12", "3"]),
     lambda: Digraph(5, ["12"]),
     lambda: Digraph(5, [(0, 1.0)]),
-], ids=["walk-float", "walk-str", "family-str", "digraph-str", "digraph-float"])
+    lambda: Digraph(4.5, [(0, 1)]),
+    lambda: Digraph(3, [(0, 1)]).successors(1.5),
+    lambda: Digraph(3, [(0, 1)]).predecessors(1.0),
+    lambda: union_graph(WalkDecomposition([[0, 1, 2, 3]]), 4.5),
+], ids=["walk-float", "walk-str", "family-str", "digraph-str", "digraph-float",
+        "digraph-float-count", "successors-float", "predecessors-float",
+        "union-graph-float-count"])
 def test_non_integer_id_raises_type_error(build):
     with pytest.raises(TypeError):
         build()

@@ -128,6 +128,9 @@ class TestDecide:
             decide_reachability(w, 0, 2)
         with pytest.raises(ValueError):
             decide_reachability(w, 0, 1, n=1)
+        for s, t, n in ((1.5, 1, None), (0, 1.0, None), (0, 1, 4.5)):
+            with pytest.raises(TypeError):
+                decide_reachability(w, s, t, n=n)
 
     def test_ring_forces_iterations_equal_to_k(self):
         for k in (1, 2, 3, 5, 8):
@@ -141,7 +144,7 @@ class TestDecide:
 def _traced_query_bytes(w, s, t):
     """Peak bytes traced during one decide_reachability(w, s, t) call,
     with the occurrence index and the vertex count built beforehand."""
-    w.occurrences, w.implied_vertex_count
+    w._index, w.implied_vertex_count
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -184,11 +187,8 @@ class TestMeter:
 @given(instances())
 @settings(max_examples=150, deadline=None)
 def test_occurrence_index_matches_scan(w):
-    # Per vertex, one (walk, last) entry per walk containing it, in walk
-    # order; vertices that occur nowhere are not keys.  Per walk, the
-    # same pass flags whether it repeats a vertex, and whether any walk
-    # does.
-    occ = w.occurrences
+    # The index its docstring states, rebuilt by a plain scan of the walks.
+    occ = w._index[0]
     repeats = tuple(not walk.is_simple for walk in w)
     assert w._index == (occ, repeats, any(repeats))
     assert set(occ) == {v for walk in w for v in walk.vertices}
@@ -395,7 +395,9 @@ class _CountingWalk(tuple):
 def _counted(w):
     """Make w count its index lookups and the positions its walks' index
     calls compare; return both counters' holders."""
-    index = w.__dict__["occurrences"] = _CountingIndex(w.occurrences)
+    occ, repeats, any_repeats = w._index
+    index = _CountingIndex(occ)
+    w.__dict__["_index"] = index, repeats, any_repeats
     walks = w.__dict__["_paths"] = tuple(map(_CountingWalk, w._paths))
     return index, walks
 
@@ -494,7 +496,7 @@ def test_path_query_work_bound(w):
         pulled.append((j, c[j], index.lookups - before))
         return q
 
-    vertices = sorted(w.occurrences)
+    vertices = sorted(index)
     with mock.patch.object(reach, "_pull", spy):
         for s in vertices:
             for t in vertices:
@@ -509,6 +511,22 @@ def test_path_query_work_bound(w):
                 for j in range(w.k):
                     seen = [cj for i, cj, _ in pulled if i == j]
                     assert seen == sorted(set(seen), reverse=True), (s, t, j)
+
+
+@given(st.one_of(instances(max_n=10, max_k=5, max_len=8), simple_walks(max_n=10),
+                 st.builds(minimal_path_decomposition, random_dags(max_n=10))),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_walk_order_changes_no_answer(w, data):
+    # A push visits the walks in order, and a walk pushed into before its
+    # turn goes pending, so the rounds run differently in another order;
+    # every field of every answer must not.
+    order = data.draw(st.permutations(range(w.k)))
+    shuffled = WalkDecomposition([w[i] for i in order])
+    n = w.implied_vertex_count
+    for s in range(n):
+        for t in range(n):
+            assert decide_reachability(shuffled, s, t) == decide_reachability(w, s, t), (s, t)
 
 
 def _ladder(m):

@@ -41,6 +41,16 @@ class TestReachableOracle:
     def test_range_checked(self):
         with pytest.raises(ValueError):
             oracle_reachable(Digraph(2), 0, 5)
+        w = WalkDecomposition([[0, 1]])
+        for call in (lambda: oracle_reachable(Digraph(2), 0.5, 1),
+                     lambda: oracle_reachable(Digraph(2), 0, 1.0),
+                     lambda: reachable_set(Digraph(2), 1.0),
+                     lambda: oracle_min_switches(w, 1.5, 1),
+                     lambda: oracle_min_switches(w, 0, 1.0),
+                     lambda: oracle_min_switches(w, 0, 1, n=2.5),
+                     lambda: switch_costs(w, 0, n=2.5)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_reachable_set(self):
         g = Digraph(4, [(0, 1), (1, 2)])
