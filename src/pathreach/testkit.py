@@ -29,6 +29,8 @@ class InstanceSeed:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "k", "max_len", "seed"):
+            index(getattr(self, name))  # TypeError for a float, before any draw
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.k < 0:
@@ -295,3 +297,30 @@ def iter_small_dags(n: int) -> Iterator[Digraph]:
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Digraph(n, [pairs[b] for b in range(len(pairs)) if bits >> b & 1])
+
+
+def iter_walk_families(max_len: int, max_k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every ordered family of at most max_k non-empty walks with at most
+    max_len positions in all and no loop step, the empty family included.
+
+    Vertex ids are numbered 0, 1, 2, ... in order of first occurrence, so
+    any such family is a relabelling of exactly one of these, which is
+    enough for exhaustive checks of label-independent quantities.
+    """
+    def families(done, fresh, room):
+        # done: the finished walks; fresh: the next new id; room: the
+        # positions still free.
+        yield done
+        if room > 0 and len(done) < max_k:
+            for v in range(fresh + 1):
+                yield from walks(done, (v,), max(fresh, v + 1), room - 1)
+
+    def walks(done, walk, fresh, room):
+        # walk: the open walk, closed here or extended by one position.
+        yield from families(done + (walk,), fresh, room)
+        if room > 0:
+            for v in range(fresh + 1):
+                if v != walk[-1]:
+                    yield from walks(done, walk + (v,), max(fresh, v + 1), room - 1)
+
+    return families((), 0, max_len)

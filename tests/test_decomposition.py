@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,6 +319,16 @@ def mutated_canonical_texts(draw):
 def test_mutated_canonical_text_matches_line_loop(text):
     # The whole-text check must give the line loop's walks or diagnostic.
     assert _outcome(parse_decomposition, text) == _outcome(decomposition._parse_lines, text)
+
+
+def test_every_short_text_matches_line_loop():
+    # All 55,987 texts of at most six characters over ids, separators,
+    # comments and minus signs.
+    for size in range(7):
+        for chars in product("01 \n#-", repeat=size):
+            text = "".join(chars)
+            assert (_outcome(parse_decomposition, text)
+                    == _outcome(decomposition._parse_lines, text)), text
 
 
 @pytest.mark.parametrize("vertices, message", [

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,15 @@ def mutated_canonical_texts(draw):
 def test_mutated_canonical_text_matches_line_loop(text):
     # The whole-text check must give the line loop's graph or diagnostic.
     assert _outcome(parse_graph, text) == _outcome(graph._parse_lines, text)
+
+
+def test_every_short_text_matches_line_loop():
+    # All 55,987 texts of at most six characters over ids, separators and
+    # the letters of header and edge lines.
+    for size in range(7):
+        for chars in product("01 \nen", repeat=size):
+            text = "".join(chars)
+            assert _outcome(parse_graph, text) == _outcome(graph._parse_lines, text), text
 
 
 def test_vertex_count_cap():

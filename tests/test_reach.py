@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from pathreach import reach
 from pathreach.dagcover import minimal_path_decomposition
 from pathreach.decomposition import WalkDecomposition, union_graph
-from pathreach.reach import _rounds, decide_reachability
+from pathreach.graph import is_acyclic
+from pathreach.reach import ReachResult, _rounds, decide_reachability
 from pathreach.testkit import (
     InstanceSeed,
     gen_decomposed_instance,
+    iter_walk_families,
     oracle_min_switches,
     oracle_reachable,
     reachable_set,
@@ -46,79 +48,13 @@ def levels(w, s):
             for c in _rounds(w, s)]
 
 
-class TestAdvanceFrontier:
-    def test_bridging_walk_picks_up_shared_vertex(self):
-        w = WalkDecomposition([[0, 1], [1, 2]])
-        assert levels(w, 0) == [(0, None), (0, 0)]
-
-    def test_single_walk_fixpoint(self):
-        # Level 1 is yielded even when the first round moves nothing.
-        w = WalkDecomposition([[0, 1, 2]])
-        assert levels(w, 0) == [(0,), (0,)]
-
-    def test_disjoint_walk_stays_unset(self):
-        w = WalkDecomposition([[0, 1], [2, 3]])
-        assert levels(w, 0) == [(0, None), (0, None)]
-
-    def test_initial_frontier(self):
-        w = WalkDecomposition([[3, 4], [4, 3, 4]])
-        assert levels(w, 4)[0] == (1, 0)
-
-    def test_absent_source_yields_no_level(self):
-        w = WalkDecomposition([[0, 1]])
-        assert levels(w, 2) == []
-
-
 class TestDecide:
-    def test_same_walk_zero_switches(self):
-        res = decide_reachability(WalkDecomposition([[0, 1, 2]]), 0, 2)
-        assert (res.reachable, res.min_switches, res.iterations) == (True, 0, 0)
-
-    def test_backwards_unreachable(self):
-        res = decide_reachability(WalkDecomposition([[0, 1, 2]]), 2, 0)
-        assert not res.reachable
-        assert res.min_switches is None
-
-    def test_one_switch_bridge(self):
-        res = decide_reachability(WalkDecomposition([[0, 1], [1, 2]]), 0, 2)
-        assert (res.reachable, res.min_switches) == (True, 1)
-
     def test_overlap_instance_queries(self):
         w = overlap_instance()
         res = decide_reachability(w, 5, 3)
         assert (res.reachable, res.min_switches) == (True, 1)
         res = decide_reachability(w, 8, 1)
         assert not res.reachable
-
-    def test_source_equals_target(self):
-        w = WalkDecomposition([[0, 1]])
-        res = decide_reachability(w, 1, 1)
-        assert (res.reachable, res.min_switches, res.iterations) == (True, 0, 0)
-        # even when the vertex occurs in no walk
-        res = decide_reachability(w, 3, 3, n=4)
-        assert (res.reachable, res.min_switches, res.iterations) == (True, 0, 0)
-
-    def test_absent_source(self):
-        w = WalkDecomposition([[0, 1]])
-        res = decide_reachability(w, 2, 0, n=3)
-        assert (res.reachable, res.iterations) == (False, 0)
-
-    def test_absent_target(self):
-        w = WalkDecomposition([[0, 1]])
-        res = decide_reachability(w, 0, 2, n=3)
-        assert not res.reachable
-
-    def test_empty_decomposition(self):
-        w = WalkDecomposition()
-        res = decide_reachability(w, 0, 1, n=2)
-        assert (res.reachable, res.iterations) == (False, 0)
-        assert decide_reachability(w, 1, 1, n=2).reachable
-
-    def test_earliest_source_occurrence_wins(self):
-        # second occurrence of the source sits later; frontier must start early
-        w = WalkDecomposition([[2, 0, 1, 0]])
-        res = decide_reachability(w, 0, 1)
-        assert (res.reachable, res.min_switches) == (True, 0)
 
     def test_vertex_ids_validated(self):
         w = WalkDecomposition([[0, 1]])
@@ -226,19 +162,16 @@ def _reference_advance(w, c):
         for walk in w)
 
 
-def _assert_reference_levels(w, s):
-    # Level 0 holds the first occurrences of s, each later level is one
-    # reference round from the level before, and the last level is a
-    # fixpoint of the reference round.
-    regs = levels(w, s)
+def _reference_levels(w, s):
+    """Level 0, the first occurrences of s, then one reference round per
+    level up to the first fixpoint after level 0; [] when s occurs nowhere."""
     if all(s not in walk.vertices for walk in w):
-        assert regs == []
-        return
-    assert regs[0] == tuple(walk.vertices.index(s) if s in walk.vertices else None
-                            for walk in w)
-    for old, new in zip(regs, regs[1:]):
-        assert new == _reference_advance(w, old)
-    assert _reference_advance(w, regs[-1]) == regs[-1]
+        return []
+    regs = [tuple(walk.vertices.index(s) if s in walk.vertices else None for walk in w)]
+    regs.append(_reference_advance(w, regs[0]))
+    while (nxt := _reference_advance(w, regs[-1])) != regs[-1]:
+        regs.append(nxt)
+    return regs
 
 
 # Minimal DAG covers hold only paths, so every push there reads its
@@ -252,7 +185,43 @@ def test_rounds_match_scan_reference(w, data):
         return
     n = w.implied_vertex_count
     s = data.draw(st.integers(min_value=0, max_value=n - 1))
-    _assert_reference_levels(w, s)
+    assert levels(w, s) == _reference_levels(w, s)
+
+
+def test_every_small_family():
+    # Every family of at most 3 walks and 7 positions, up to relabelling,
+    # over two ids more than it uses: each source's levels, and every
+    # field of every answer, against the references.  On an acyclic union
+    # graph a route with fewest switches never returns to a walk it left,
+    # so min_switches <= k - 1, the levels are fixed from level k on, and
+    # each of at most k + 1 rounds looks up at most L positions in pushes
+    # and L in pulls.
+    acyclic = 0
+    for family in iter_walk_families(7, 3):
+        w = WalkDecomposition(family)
+        k, length, n = w.k, sum(map(len, family)), w.implied_vertex_count + 2
+        dag = is_acyclic(union_graph(w, n))
+        acyclic += dag
+        index, _ = _counted(w)
+        for s in range(n):
+            ref = _reference_levels(w, s)
+            assert levels(w, s) == ref, (family, s)
+            reached = [{v for vs, ci in zip(family, c) if ci is not None for v in vs[ci:]}
+                       for c in ref]
+            costs = switch_costs(w, s, n=n)
+            for t in range(n):
+                index.lookups = 0
+                res = decide_reachability(w, s, t, n=n)
+                iterations = 0 if s == t or not ref else next(
+                    (level for level, r in enumerate(reached) if t in r), len(ref) - 1)
+                assert res == ReachResult(costs[t] is not None, costs[t], iterations,
+                                          2 * k + 8), (family, s, t)
+                if dag:
+                    assert res.iterations <= max(1, k), (family, s, t)
+                    assert res.min_switches is None or res.min_switches <= max(0, k - 1), (
+                        family, s, t)
+                    assert index.lookups <= 2 * length * (k + 1), (family, s, t)
+    assert acyclic == 2249
 
 
 def _pulls_per_level(w, s, monkeypatch):
@@ -287,8 +256,7 @@ class TestRoundKinds:
         # vertex 3, which occurs at 1, after c[1] = 0, in walk 1.  Round 2,
         # with new = 1 > sum(c) = 0, pulls both walks again.
         w = WalkDecomposition([[3], [6, 3, 6]])
-        _assert_reference_levels(w, 6)
-        assert levels(w, 6) == [(None, 0), (0, 0)]
+        assert levels(w, 6) == _reference_levels(w, 6) == [(None, 0), (0, 0)]
         assert _pulls_per_level(w, 6, monkeypatch) == [(), (0, 1), (0, 1)]
 
     def test_path_round_never_pulls_every_walk(self, monkeypatch):
@@ -298,8 +266,8 @@ class TestRoundKinds:
         # run and the round pushes: walk 1's segment holds vertex 0, whose
         # entry lowers walk 2 from 1 to 0.  No round pulls anything.
         w = WalkDecomposition([[3, 1], [1, 0], [0]])
-        _assert_reference_levels(w, 3)
-        assert levels(w, 3) == [(0, None, None), (0, 0, None), (0, 0, 0)]
+        assert (levels(w, 3) == _reference_levels(w, 3)
+                == [(0, None, None), (0, 0, None), (0, 0, 0)])
         assert _pulls_per_level(w, 3, monkeypatch) == [(), (), (), ()]
 
     def test_moved_walk_pushed_by_an_earlier_walk_goes_pending(self, monkeypatch):
@@ -309,8 +277,7 @@ class TestRoundKinds:
         # still scans its own segment at its turn (vertex 2 lowers walk 1
         # to 1), and its pull at round end finds vertex 2 at position 0.
         w = WalkDecomposition([[1, 3], [3, 2, 0], [2, 0, 2]])
-        _assert_reference_levels(w, 0)
-        assert levels(w, 0) == [(None, 2, 1), (None, 1, 0)]
+        assert levels(w, 0) == _reference_levels(w, 0) == [(None, 2, 1), (None, 1, 0)]
         assert _pulls_per_level(w, 0, monkeypatch) == [(), (2,), (2,)]
 
     def test_push_into_a_walk_that_did_not_move(self, monkeypatch):
@@ -325,8 +292,8 @@ class TestRoundKinds:
         # which moved, goes pending before its turn; it is pulled at its
         # own turn, from an empty prefix.
         w = WalkDecomposition([[3, 1, 6], [6, 5, 1], [6]])
-        _assert_reference_levels(w, 5)
-        assert levels(w, 5) == [(None, 1, None), (1, 1, None), (1, 0, 0)]
+        assert (levels(w, 5) == _reference_levels(w, 5)
+                == [(None, 1, None), (1, 1, None), (1, 0, 0)])
         assert _pulls_per_level(w, 5, monkeypatch) == [(), (), (), (2,)]
 
     def test_push_into_a_walk_that_repeats_the_vertex(self, monkeypatch):
@@ -337,8 +304,7 @@ class TestRoundKinds:
         # pending, since d[0] = 4 > 0; vertex 5 then skips it, and the
         # pull at round end finds vertex 5 at position 0.
         w = WalkDecomposition([[5, 1, 5, 2, 0, 5]])
-        _assert_reference_levels(w, 0)
-        assert levels(w, 0) == [(4,), (0,)]
+        assert levels(w, 0) == _reference_levels(w, 0) == [(4,), (0,)]
         assert _pulls_per_level(w, 0, monkeypatch) == [(), (0,), (0,)]
 
     def test_round_whose_new_segments_equal_the_prefixes_pushes(self, monkeypatch):
@@ -350,8 +316,7 @@ class TestRoundKinds:
         # the round pushes.  Walk 1's segment holds vertex 4, which lowers
         # walk 0 from 2 to 0 with no pull.
         w = WalkDecomposition([[4, 5], [3, 4, 1, 3]])
-        _assert_reference_levels(w, 1)
-        assert levels(w, 1) == [(None, 2), (None, 0), (0, 0)]
+        assert levels(w, 1) == _reference_levels(w, 1) == [(None, 2), (None, 0), (0, 0)]
         assert _pulls_per_level(w, 1, monkeypatch) == [(), (1,), (), (0, 1)]
 
     def test_round_whose_new_segments_pass_the_prefixes_pulls(self, monkeypatch):
@@ -361,8 +326,7 @@ class TestRoundKinds:
         # is pulled at round end to 0.  Round 2: c = (1, 0), previous
         # level (2, 1); new = 2 is sum(c) + 1, so every walk is pulled.
         w = WalkDecomposition([[2, 1], [1, 4, 1]])
-        _assert_reference_levels(w, 4)
-        assert levels(w, 4) == [(None, 1), (1, 0)]
+        assert levels(w, 4) == _reference_levels(w, 4) == [(None, 1), (1, 0)]
         assert _pulls_per_level(w, 4, monkeypatch) == [(), (1,), (0, 1)]
 
 

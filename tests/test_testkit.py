@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from pathreach.testkit import (
     gen_decomposed_instance,
     gen_random_dag,
     iter_small_dags,
+    iter_walk_families,
     numbered_cover,
     oracle_min_switches,
     oracle_reachable,
@@ -134,6 +137,9 @@ class TestGenerators:
             InstanceSeed(n=1, k=-1, max_len=1, seed=0)
         with pytest.raises(ValueError):
             InstanceSeed(n=1, k=1, max_len=0, seed=0)
+        for n, max_len, seed in ((5.5, 3, 1), (5, 3.5, 1), (5, 3, 1.5)):
+            with pytest.raises(TypeError):
+                InstanceSeed(n=n, k=2, max_len=max_len, seed=seed)
 
 
 def test_generators_and_oracles_check_each_walk_once(monkeypatch):
@@ -225,3 +231,42 @@ class TestBruteForce:
         counts = [sum(1 for _ in iter_small_dags(n)) for n in range(4)]
         assert counts == [1, 1, 2, 8]
         assert all(is_acyclic(g) for g in iter_small_dags(3))
+
+
+def _relabelled_families(max_len, max_k):
+    """Every family of at most max_k walks over ids below max_len, with at
+    most max_len positions in all and no loop step, relabelled by first
+    occurrence."""
+    found = set()
+    for k in range(max_k + 1):
+        for lengths in product(range(1, max_len + 1), repeat=k):
+            if sum(lengths) > max_len:
+                continue
+            for ids in product(range(max_len), repeat=sum(lengths)):
+                it, names = iter(ids), {}
+                family = tuple(tuple(next(it) for _ in range(n)) for n in lengths)
+                if all(a != b for walk in family for a, b in zip(walk, walk[1:])):
+                    found.add(tuple(tuple(names.setdefault(v, len(names)) for v in walk)
+                                    for walk in family))
+    return found
+
+
+class TestWalkFamilies:
+    @pytest.mark.parametrize("max_len, max_k, count", [
+        (0, 3, 1), (3, 0, 1), (3, 2, 13), (4, 2, 39), (4, 3, 74)])
+    def test_matches_brute_force_relabelling(self, max_len, max_k, count):
+        families = list(iter_walk_families(max_len, max_k))
+        assert len(families) == count
+        assert set(families) == _relabelled_families(max_len, max_k)
+
+    def test_exhaustive_check_size(self):
+        # The scope of test_every_small_family: it must not shrink silently.
+        families = list(iter_walk_families(7, 3))
+        assert len(set(families)) == len(families) == 8151
+        assert () in families
+        for family in families:
+            assert WalkDecomposition(family).k == len(family) <= 3
+            assert sum(map(len, family)) <= 7
+            # Numbered by first occurrence: no id exceeds every id before it by more than 1.
+            flat = [v for walk in family for v in walk]
+            assert all(v <= max(flat[:q], default=-1) + 1 for q, v in enumerate(flat)), family
