@@ -48,13 +48,79 @@ def levels(w, s):
             for c in _rounds(w, s)]
 
 
+class TestAdvanceFrontier:
+    def test_bridging_walk_picks_up_shared_vertex(self):
+        w = WalkDecomposition([[0, 1], [1, 2]])
+        assert levels(w, 0) == [(0, None), (0, 0)]
+
+    def test_single_walk_fixpoint(self):
+        # Level 1 is yielded even when the first round moves nothing.
+        w = WalkDecomposition([[0, 1, 2]])
+        assert levels(w, 0) == [(0,), (0,)]
+
+    def test_disjoint_walk_stays_unset(self):
+        w = WalkDecomposition([[0, 1], [2, 3]])
+        assert levels(w, 0) == [(0, None), (0, None)]
+
+    def test_initial_frontier(self):
+        w = WalkDecomposition([[3, 4], [4, 3, 4]])
+        assert levels(w, 4)[0] == (1, 0)
+
+    def test_absent_source_yields_no_level(self):
+        w = WalkDecomposition([[0, 1]])
+        assert levels(w, 2) == []
+
+
 class TestDecide:
+    def test_same_walk_zero_switches(self):
+        res = decide_reachability(WalkDecomposition([[0, 1, 2]]), 0, 2)
+        assert (res.reachable, res.min_switches, res.iterations) == (True, 0, 0)
+
+    def test_backwards_unreachable(self):
+        res = decide_reachability(WalkDecomposition([[0, 1, 2]]), 2, 0)
+        assert not res.reachable
+        assert res.min_switches is None
+
+    def test_one_switch_bridge(self):
+        res = decide_reachability(WalkDecomposition([[0, 1], [1, 2]]), 0, 2)
+        assert (res.reachable, res.min_switches) == (True, 1)
+
     def test_overlap_instance_queries(self):
         w = overlap_instance()
         res = decide_reachability(w, 5, 3)
         assert (res.reachable, res.min_switches) == (True, 1)
         res = decide_reachability(w, 8, 1)
         assert not res.reachable
+
+    def test_source_equals_target(self):
+        w = WalkDecomposition([[0, 1]])
+        res = decide_reachability(w, 1, 1)
+        assert (res.reachable, res.min_switches, res.iterations) == (True, 0, 0)
+        # even when the vertex occurs in no walk
+        res = decide_reachability(w, 3, 3, n=4)
+        assert (res.reachable, res.min_switches, res.iterations) == (True, 0, 0)
+
+    def test_absent_source(self):
+        w = WalkDecomposition([[0, 1]])
+        res = decide_reachability(w, 2, 0, n=3)
+        assert (res.reachable, res.iterations) == (False, 0)
+
+    def test_absent_target(self):
+        w = WalkDecomposition([[0, 1]])
+        res = decide_reachability(w, 0, 2, n=3)
+        assert not res.reachable
+
+    def test_empty_decomposition(self):
+        w = WalkDecomposition()
+        res = decide_reachability(w, 0, 1, n=2)
+        assert (res.reachable, res.iterations) == (False, 0)
+        assert decide_reachability(w, 1, 1, n=2).reachable
+
+    def test_earliest_source_occurrence_wins(self):
+        # second occurrence of the source sits later; frontier must start early
+        w = WalkDecomposition([[2, 0, 1, 0]])
+        res = decide_reachability(w, 0, 1)
+        assert (res.reachable, res.min_switches) == (True, 0)
 
     def test_vertex_ids_validated(self):
         w = WalkDecomposition([[0, 1]])
