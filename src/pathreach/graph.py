@@ -21,12 +21,6 @@ from typing import Iterable, Iterator
 Edge = tuple[int, int]
 
 
-# Largest header N that parse_graph accepts, the limit README "File
-# formats" documents.  Adjacency is held only for vertices with an edge, so
-# the header alone commits no memory; the limit bounds the id range.
-_MAX_VERTEX_COUNT = 1 << 22
-
-
 class GraphFormatError(ValueError):
     """A graph file could not be parsed."""
 
@@ -165,9 +159,10 @@ def parse_graph(text: str) -> Digraph:
     """Parse the graph file format.
 
     Lines starting with '#' and blank lines are ignored.  Exactly one
-    header line "n <N>" with 0 <= N <= 2**22 must precede any edge line
+    header line "n <N>" with any N >= 0 must precede any edge line
     "e <u> <v>".  Duplicate edge lines, loops, and out-of-range endpoints
-    are hard errors; the first error in file order is reported.
+    are hard errors; the first error in file order is reported.  Memory
+    and time follow the edges, not N.
     """
     canonical = _CANONICAL.fullmatch(text)
     if canonical is not None:
@@ -182,8 +177,6 @@ def _parse_canonical(match: re.Match[str]) -> Digraph | None:
     check fails; _parse_lines then finds and reports the first error."""
     try:
         n = int(match[1])
-        if n > _MAX_VERTEX_COUNT:
-            return None
         # One C-level scan converts every endpoint: the edge lines read as
         # the JSON list [u, v, u, v, ...].  A number that JSON or int()
         # rejects (a leading zero, too many digits) sends the text to the
@@ -237,9 +230,6 @@ def _parse_lines(text: str) -> Digraph:
             n = _parse_int(parts[1], lineno)
             if n < 0:
                 raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
-            if n > _MAX_VERTEX_COUNT:
-                raise GraphFormatError(
-                    f"line {lineno}: vertex count {n} exceeds the limit {_MAX_VERTEX_COUNT}")
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge line before header")

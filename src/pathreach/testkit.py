@@ -18,7 +18,17 @@ from operator import index
 from typing import Iterator
 
 from .decomposition import WalkDecomposition
-from .graph import _MAX_VERTEX_COUNT, Digraph, Edge
+from .graph import Digraph, Edge
+
+# Largest count of ids a generator holds or of vertices it draws pairs of.
+# Generators allocate by their size arguments, so each is checked before
+# the first allocation or draw; graph files have no such limit.
+_MAX_VERTEX_COUNT = 1 << 22
+
+
+def _check_cap(count: int, what: str) -> None:
+    if count > _MAX_VERTEX_COUNT:
+        raise ValueError(f"{what} exceeds the limit {_MAX_VERTEX_COUNT}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +47,8 @@ class InstanceSeed:
             raise ValueError("k must be nonnegative")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
-        # Up to k * max_len ids are drawn and held: capped like a graph's N.
-        if self.k * self.max_len > _MAX_VERTEX_COUNT:
-            raise ValueError(f"k * max_len = {self.k * self.max_len} "
-                             f"exceeds the limit {_MAX_VERTEX_COUNT}")
+        # Up to k * max_len ids are drawn and held.
+        _check_cap(self.k * self.max_len, f"k * max_len = {self.k * self.max_len}")
 
 
 def reachable_set(g: Digraph, s: int) -> set[int]:
@@ -198,11 +206,10 @@ def gen_random_dag(n: int, p: float, seed: int) -> Digraph:
     """Random DAG: each pair (i, j) with i < j becomes an edge with
     probability p, so the result is acyclic by construction.
 
-    Draws n(n-1)/2 random numbers, so n is checked against the graph-file
-    cap before the first draw: a larger graph could not be read back.
+    Draws n(n-1)/2 random numbers, so n is checked against the
+    generators' cap before the first draw.
     """
-    if n > _MAX_VERTEX_COUNT:
-        raise ValueError(f"vertex count {n} exceeds the limit {_MAX_VERTEX_COUNT}")
+    _check_cap(n, f"vertex count {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     rng = random.Random(seed)
@@ -219,10 +226,9 @@ def switch_chain(n: int, k: int) -> WalkDecomposition:
     0 -> n-1 costs n-2 switches and drives the engine through about n
     rounds.  The filler steps between reversed segments only add edges
     that point backwards along the chain, which cannot shorten a forward
-    route.  n is checked against the graph-file cap before any allocation.
+    route.  n is checked against the generators' cap before any allocation.
     """
-    if n > _MAX_VERTEX_COUNT:
-        raise ValueError(f"vertex count {n} exceeds the limit {_MAX_VERTEX_COUNT}")
+    _check_cap(n, f"vertex count {n}")
     if n < 2:
         raise ValueError("need at least 2 vertices")
     if not (1 <= k <= n - 1):

@@ -193,20 +193,37 @@ class TestHugeVertexIds:
 
 
 class TestHugeGraphHeader:
-    # A header alone commits per-vertex memory, so N is capped: above the
-    # cap the CLI answers with one diagnostic line and exit 2, at once,
-    # and an edgeless graph at the cap still loads in 1 GB.
-    CAP = 1 << 22
+    # Memory and time follow the edges, not the header's N: any header
+    # loads, and every graph command answers at once in 1 GB.
+    CAP = 1 << 22  # the generators' cap
+    TOP = 10**18 - 1
+    TOP_FILES = {
+        "top.g": f"n {10**18}\ne 0 {TOP - 1}\ne {TOP - 2} {TOP - 1}\ne {TOP - 1} {TOP}\n",
+        "top.walks": f"0 {TOP - 1} {TOP}\n{TOP - 2} {TOP - 1}\n",  # its decompose output
+    }
 
     @pytest.mark.parametrize("count", [CAP + 1, 2000000000])
-    def test_header_above_cap_rejected(self, tmp_path, count):
+    def test_header_above_cap_loads(self, tmp_path, count):
         path = tmp_path / "huge.g"
-        path.write_text(f"# too many vertices\nn {count}\ne 0 1\n")
+        path.write_text(f"# many vertices\nn {count}\ne 0 1\n")
         proc, elapsed = _run_capped(["pathnum-lb", "--graph", str(path)])
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == (
-            f"error: {path}: line 2: vertex count {count} exceeds the limit {self.CAP}\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("command, stdout", [
+        ("pathnum-lb --graph top.g", "2\n"),
+        ("decompose --graph top.g", TOP_FILES["top.walks"]),
+        ("validate --graph top.g --decomp top.walks --paths", "ok\n"),
+        (f"reach --graph top.g --decomp top.walks --from {TOP - 2} --to {TOP}",
+         "REACHABLE switches=1 iterations=1 peak_words=12\n"),
+        (f"oracle --graph top.g --from {TOP - 2} --to {TOP}", "REACHABLE\n"),
+    ], ids=["pathnum-lb", "decompose", "validate", "reach", "oracle"])
+    def test_top_of_a_huge_header_answers(self, tmp_path, command, stdout):
+        for name, text in self.TOP_FILES.items():
+            (tmp_path / name).write_text(text)
+        proc, elapsed = _run_capped(
+            [str(tmp_path / a) if a in self.TOP_FILES else a for a in command.split()])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
         assert elapsed < 2.0
 
     def test_edgeless_graph_at_cap_loads(self, tmp_path):
@@ -370,6 +387,16 @@ class TestPlumbing:
         assert run(["validate", "--help"]) == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: pathreach validate") and "--paths" in out and err == ""
+
+    def test_closed_stdout_pipe_is_no_error(self, capsys, monkeypatch):
+        # A reader that stops early, as `| head` does, closes the pipe.
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["gen", "chain", "--n", "10", "--k", "2"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_file(self, capsys):
         assert run(["pathnum-lb", "--graph", "/nonexistent/x.g"]) == 2

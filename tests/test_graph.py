@@ -72,8 +72,7 @@ class TestParse:
         assert parse_graph(format_graph(g)) == g
 
 
-# Every parse_graph diagnostic but the vertex-count cap (tested below),
-# exact: (file text, message).
+# Every parse_graph diagnostic, exact: (file text, message).
 GRAPH_DIAGNOSTICS = [
     ("n 2\nn 3\n", "line 2: duplicate header line"),
     ("n 2\nn 3 4\n", "line 2: duplicate header line"),
@@ -225,17 +224,31 @@ def test_every_short_text_matches_line_loop():
             assert _outcome(parse_graph, text) == _outcome(graph._parse_lines, text), text
 
 
-def test_vertex_count_cap():
-    # README "File formats" documents the cap of 2**22 vertices.
-    with pytest.raises(GraphFormatError) as info:
-        parse_graph("n 4194305\n")
-    assert str(info.value) == "line 1: vertex count 4194305 exceeds the limit 4194304"
-    with pytest.raises(GraphFormatError) as info:
-        parse_graph("n 4194305\ne 0 1\ne 1 2\n")  # canonical, edges valid
-    assert str(info.value) == "line 1: vertex count 4194305 exceeds the limit 4194304"
-    with pytest.raises(GraphFormatError) as info:
-        parse_graph("n 2\ne 0 1\nn 2000000000\n")
-    assert str(info.value) == "line 3: duplicate header line"
+# Canonical texts with headers of any size, some with edges at the top
+# of the id range: memory and time follow the edges, not N.
+# (file text, N, edges)
+_TOP = 10**18 - 1
+HUGE_HEADERS = [
+    ("n 4194305\n", 4194305, set()),
+    ("n 4194305\ne 0 1\ne 1 2\n", 4194305, {(0, 1), (1, 2)}),
+    ("n 2000000000\ne 1999999999 0\n", 2000000000, {(1999999999, 0)}),
+    (f"n {10**18}\ne 0 {_TOP}\ne {_TOP - 2} {_TOP - 1}\ne {_TOP - 1} {_TOP}\n", 10**18,
+     {(0, _TOP), (_TOP - 2, _TOP - 1), (_TOP - 1, _TOP)}),
+]
+
+
+def test_any_vertex_count_loads(monkeypatch):
+    for text, n, edges in HUGE_HEADERS:
+        for parse in (parse_graph, graph._parse_lines):
+            g = parse(text)
+            assert g.n == n and g.edges == edges, (parse, text)
+    # A canonical text takes no detour through the line loop for its N.
+    def line_loop(text):
+        raise AssertionError("canonical text fell back to the line loop")
+
+    monkeypatch.setattr(graph, "_parse_lines", line_loop)
+    for text, n, _ in HUGE_HEADERS:
+        assert parse_graph(text).n == n
 
 
 class TestDigraph:

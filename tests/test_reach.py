@@ -261,7 +261,7 @@ def test_every_small_family():
     # graph a route with fewest switches never returns to a walk it left,
     # so min_switches <= k - 1, the levels are fixed from level k on, and
     # each of at most k + 1 rounds looks up at most L positions in pushes
-    # and L in pulls.
+    # and L in pulls, beside one lookup each of the source and the target.
     acyclic = 0
     for family in iter_walk_families(7, 3):
         w = WalkDecomposition(family)
@@ -286,8 +286,26 @@ def test_every_small_family():
                     assert res.iterations <= max(1, k), (family, s, t)
                     assert res.min_switches is None or res.min_switches <= max(0, k - 1), (
                         family, s, t)
-                    assert index.lookups <= 2 * length * (k + 1), (family, s, t)
+                    assert index.lookups <= 2 * length * (k + 1) + 2, (family, s, t)
     assert acyclic == 2249
+
+
+@given(random_dags(max_n=16))
+@settings(max_examples=300, deadline=None)
+def test_dag_cover_query_bounds(g):
+    # The acyclic bounds of test_every_small_family on minimal covers of
+    # larger DAGs, for every pair.  Some queries make more than L + 2
+    # lookups, so only 2L(k + 1) + 2 is asserted.
+    w = minimal_path_decomposition(g)
+    k, length = w.k, sum(map(len, w._paths))
+    index, _ = _counted(w)
+    for s in range(g.n):
+        for t in range(g.n):
+            index.lookups = 0
+            res = decide_reachability(w, s, t, n=g.n)
+            assert res.iterations <= max(1, k), (s, t)
+            assert res.min_switches is None or res.min_switches <= max(0, k - 1), (s, t)
+            assert index.lookups <= 2 * length * (k + 1) + 2, (s, t)
 
 
 def _pulls_per_level(w, s, monkeypatch):
@@ -397,13 +415,17 @@ class TestRoundKinds:
 
 
 class _CountingIndex(dict):
-    """An occurrence index that counts its lookups."""
+    """An occurrence index that counts its lookups, by subscript or get."""
 
     lookups = 0
 
     def __getitem__(self, v):
         self.lookups += 1
         return super().__getitem__(v)
+
+    def get(self, v, default=None):
+        self.lookups += 1
+        return super().get(v, default)
 
 
 class _CountingWalk(tuple):
@@ -451,8 +473,8 @@ def test_chain_query_index_lookups_are_linear_in_n(n, repeats):
     # With repeats, each walk gets its second-to-last vertex appended, so
     # every walk repeats a vertex and the route is unchanged.  Only the
     # level-0 lookups of the source compare positions.  Each push into a
-    # walk makes it pending, and its pull rescans its prefix: 29,606
-    # lookups at n = 200 and 1,916,806 at n = 1600, quadratic in n.
+    # walk makes it pending, and its pull rescans its prefix: 29,608
+    # lookups at n = 200 and 1,916,808 at n = 1600, quadratic in n.
     # Stored first positions would make pushes into such walks read the
     # index as on paths, and these lookups linear.
     w = switch_chain(n, 4)
@@ -514,8 +536,9 @@ def test_path_query_work_bound(w):
     # most c[j] positions, and j is pulled only in a round after one in
     # which it moved, so its pulls see strictly decreasing c[j] below
     # len(j): at most len(j)(len(j) - 1)/2 lookups in all.  The ladder
-    # family below shows that this quadratic term is real.  No position
-    # is compared, since a path's first positions are its last ones.
+    # family below shows that this quadratic term is real.  Beside both,
+    # the source and the target are looked up once each.  No position is
+    # compared, since a path's first positions are its last ones.
     lengths = list(map(len, w._paths))
     index, walks = _counted(w)
     pull, pulled = reach._pull, []
@@ -535,7 +558,7 @@ def test_path_query_work_bound(w):
                 decide_reachability(w, s, t)
                 assert sum(walk.compared for walk in walks) == 0
                 pull_lookups = sum(n for _, _, n in pulled)
-                assert index.lookups - pull_lookups <= sum(lengths), (s, t)
+                assert index.lookups - pull_lookups <= sum(lengths) + 2, (s, t)
                 for j, cj, n in pulled:
                     assert n <= cj < lengths[j], (s, t, j)
                 for j in range(w.k):
@@ -581,17 +604,17 @@ def test_ladder_query_pending_pulls_are_quadratic(m):
     # Each round, walk 0's new segment holds a vertex of walk 1, which
     # moved the round before and has not had its turn: walk 1 goes
     # pending, and its pull at its turn scans its prefix, which shrinks by
-    # two positions per round.  So the query makes (m + 3)(m - 1)
-    # lookups, 25,917 at m = 160 against L = 4m = 640 positions: on paths
-    # the pending pulls are quadratic, not bounded by 2L.  Storing the
-    # pushed position of a pending path would need a third value per walk
-    # beside c and d.
+    # two positions per round.  So the query makes (m + 3)(m - 1) + 2
+    # lookups, the source's and the target's included, 25,919 at m = 160
+    # against L = 4m = 640 positions: on paths the pending pulls are
+    # quadratic, not bounded by 2L.  Storing the pushed position of a
+    # pending path would need a third value per walk beside c and d.
     w = _ladder(m)
     index, walks = _counted(w)
     res = decide_reachability(w, 0, 2 * m + 3)
     assert res.min_switches == m - 1
     assert sum(walk.compared for walk in walks) == 0
-    assert index.lookups == (m + 3) * (m - 1)
+    assert index.lookups == (m + 3) * (m - 1) + 2
 
 
 def _strict_levels(w, s):

@@ -201,6 +201,10 @@ class TestHandBuiltInstances:
         with pytest.raises(ValueError):
             switch_chain(5, 5)
 
+    def test_ring_validation(self):
+        with pytest.raises(ValueError, match="^need at least 1 walk$"):
+            switch_ring(0)
+
 
 class TestBruteForce:
     def test_known_values(self):
