@@ -114,6 +114,20 @@ class WalkDecomposition:
         """One more than the largest vertex id of any walk; 0 for an empty family."""
         return max(chain.from_iterable(self._paths), default=-1) + 1
 
+    def _universe(self, n: int | None, s: int, t: int | None = None) -> int:
+        """The vertex universe of a query from the int s (to the int t): n,
+        or the implied vertex count when n is None.  The engine and the
+        oracles reject a bad query here, with the same diagnostics."""
+        nv = self.implied_vertex_count
+        universe = nv if n is None else index(n)
+        if universe < nv:
+            raise ValueError(f"universe {universe} smaller than implied vertex count {nv}")
+        if not (0 <= s < universe):
+            raise ValueError(f"source {s} outside [0, {universe})")
+        if t is not None and not (0 <= t < universe):
+            raise ValueError(f"target {t} outside [0, {universe})")
+        return universe
+
     @cached_property
     def _index(
         self,

@@ -44,19 +44,15 @@ class Digraph:
             if u == v:
                 raise ValueError(f"loop edge ({u}, {v}) is not allowed")
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-        self._init(n, tuple(sorted(keys)))
+        self._n, self._keys = n, tuple(sorted(keys))
 
     @classmethod
     def _checked(cls, n: int, keys: tuple[int, ...]) -> "Digraph":
         """Digraph on the strictly ascending keys of edges already known to
         be loop-free and inside [0, n)."""
         g = cls.__new__(cls)
-        g._init(n, keys)
+        g._n, g._keys = n, keys
         return g
-
-    def _init(self, n: int, keys: tuple[int, ...]) -> None:
-        self._n = n
-        self._keys = keys
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:

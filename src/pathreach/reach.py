@@ -151,14 +151,7 @@ def decide_reachability(
     itself and the query returns without running any round.
     """
     s, t = index(s), index(t)
-    nv = w.implied_vertex_count
-    universe = nv if n is None else index(n)
-    if universe < nv:
-        raise ValueError(f"universe {universe} smaller than implied vertex count {nv}")
-    if not (0 <= s < universe):
-        raise ValueError(f"source {s} outside [0, {universe})")
-    if not (0 <= t < universe):
-        raise ValueError(f"target {t} outside [0, {universe})")
+    w._universe(n, s, t)
 
     peak_words = 2 * w.k + _QUERY_SCRATCH_WORDS
     if s == t:

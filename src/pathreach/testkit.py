@@ -1,9 +1,11 @@
 """Brute-force oracles and reproducible instance generators.
 
-Nothing here shares code with the frontier-register engine or with
-dagcover: numbered_cover follows the paper's edge numbering by its own
-route.  The point is to give differential tests something independent to
-disagree with.  Generators draw from Python's stdlib random.Random
+The oracles share one argument check with the frontier-register engine,
+WalkDecomposition._universe, so both reject a bad query in the same
+words.  They share no answer code with it or with dagcover:
+numbered_cover follows the paper's edge numbering by its own route.  The
+point is to give differential tests something independent to disagree
+with.  Generators draw from Python's stdlib random.Random
 (Mersenne Twister), so a given seed reproduces an instance byte for byte.
 """
 
@@ -70,17 +72,6 @@ def oracle_reachable(g: Digraph, s: int, t: int) -> bool:
     return t in reachable_set(g, s)
 
 
-def _universe(w: WalkDecomposition, s: int, n: int | None) -> int:
-    nv = w.implied_vertex_count
-    universe = nv if n is None else index(n)
-    s = index(s)
-    if universe < nv:
-        raise ValueError(f"universe {universe} smaller than implied vertex count {nv}")
-    if not (0 <= s < universe):
-        raise ValueError(f"source {s} outside [0, {universe})")
-    return universe
-
-
 def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
     """Minimum switch count from s to every vertex reachable from it.
 
@@ -126,7 +117,7 @@ def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
 def switch_costs(w: WalkDecomposition, s: int, n: int | None = None) -> list[int | None]:
     """Minimum switch count from s to every vertex in [0, n), None where
     unreachable; see _switch_cost_map for the search."""
-    best: list[int | None] = [None] * _universe(w, s, n)
+    best: list[int | None] = [None] * w._universe(n, index(s))
     for v, c in _switch_cost_map(w, s).items():
         best[v] = c
     return best
@@ -135,9 +126,7 @@ def switch_costs(w: WalkDecomposition, s: int, n: int | None = None) -> list[int
 def oracle_min_switches(
     w: WalkDecomposition, s: int, t: int, n: int | None = None
 ) -> int | None:
-    universe = _universe(w, s, n)
-    if not (0 <= index(t) < universe):
-        raise ValueError(f"target {t} outside [0, {universe})")
+    w._universe(n, index(s), index(t))
     return _switch_cost_map(w, s).get(t)
 
 

@@ -1,4 +1,7 @@
+from hypothesis import strategies as st
+
 from pathreach.decomposition import WalkDecomposition
+from pathreach.testkit import gen_random_dag
 
 # Two overlapping ten-vertex walks used throughout the suite; they share
 # the steps 2->3 and 3->4 and the second walk revisits vertex 3.
@@ -8,3 +11,12 @@ OVERLAP_W2 = [1, 2, 3, 4, 9, 3, 8]
 
 def overlap_instance() -> WalkDecomposition:
     return WalkDecomposition([OVERLAP_W1, OVERLAP_W2])
+
+
+def random_dags(max_n=12, min_n=1):
+    return st.builds(
+        gen_random_dag,
+        n=st.integers(min_value=min_n, max_value=max_n),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**63),
+    )

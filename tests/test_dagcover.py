@@ -14,19 +14,12 @@ from pathreach.decomposition import (
     validate_path_decomposition,
 )
 from pathreach.graph import Digraph, format_graph, parse_graph
-from pathreach.testkit import gen_random_dag, numbered_cover
+from pathreach.testkit import numbered_cover
+
+from .conftest import random_dags
 
 DIAMOND = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
 PATH3 = Digraph(3, [(0, 1), (1, 2)])
-
-
-def random_dags():
-    return st.builds(
-        gen_random_dag,
-        n=st.integers(min_value=0, max_value=16),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**63),
-    )
 
 
 class TestAssign:
@@ -57,7 +50,7 @@ class TestAssign:
                   for seed in range(16)}
         assert covers == {((0, 2, 3), (1, 2, 4)), ((0, 2, 4), (1, 2, 3))}
 
-    @given(random_dags(), st.randoms(use_true_random=False))
+    @given(random_dags(max_n=16, min_n=0), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_indices_are_permutations(self, g, rng):
         # Numbers 1..indeg and 1..outdeg, in any order, leave exactly
@@ -141,7 +134,7 @@ class TestMinimalDecomposition:
         starts = [w[0] for w in first]
         assert starts == sorted(starts)
 
-    @given(random_dags())
+    @given(random_dags(max_n=16, min_n=0))
     @settings(max_examples=100, deadline=None)
     def test_cover_is_valid_and_minimal(self, g):
         cover = minimal_path_decomposition(g)
@@ -149,12 +142,12 @@ class TestMinimalDecomposition:
         assert cover.k == path_number_lower_bound(g)
         assert all(w.is_simple for w in cover)
 
-    @given(random_dags())
+    @given(random_dags(max_n=16, min_n=0))
     @settings(max_examples=100, deadline=None)
     def test_matches_traces_of_assigned_indexing(self, g):
         assert minimal_path_decomposition(g) == numbered_cover(g)
 
-    @given(random_dags())
+    @given(random_dags(max_n=16, min_n=0))
     @settings(max_examples=100, deadline=None)
     def test_cover_walks_pass_walk_checks(self, g):
         # The cover's walks are built without Walk.__init__; rebuilding each
@@ -163,14 +156,14 @@ class TestMinimalDecomposition:
         assert WalkDecomposition([Walk(list(p)) for p in cover]) == cover
         assert all(type(v) is int for p in cover for v in p.vertices)
 
-    @given(random_dags())
+    @given(random_dags(max_n=16, min_n=0))
     @settings(max_examples=60, deadline=None)
     def test_file_round_trips(self, g):
         assert parse_graph(format_graph(g)) == g
         cover = minimal_path_decomposition(g)
         assert parse_decomposition(format_decomposition(cover)) == cover
 
-    @given(random_dags(), st.randoms(use_true_random=False))
+    @given(random_dags(max_n=16, min_n=0), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_any_valid_indexing_works(self, g, rng):
         # Shuffle each vertex's in and out numbering; the traces must still

@@ -4,8 +4,9 @@ Every import of a `src/pathreach` module must be used in it (the
 re-exports of `__init__.py` and `__future__` imports aside), and every
 private module-level name and private method must be referenced from some
 other line of the package.  `testkit` imports from no package module but
-`graph` and `decomposition`, so its oracles share no code with the engine
-(`reach`) or the cover (`dagcover`).
+`graph` and `decomposition`.  So its oracles share with the engine
+(`reach`) only the argument check `WalkDecomposition._universe`, and no
+answer code with it or with the cover (`dagcover`).
 """
 
 import ast

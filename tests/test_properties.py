@@ -13,21 +13,13 @@ from pathreach.decomposition import (
 from pathreach.reach import decide_reachability
 from pathreach.testkit import (
     brute_force_path_number,
-    gen_random_dag,
     iter_small_dags,
     oracle_min_switches,
     oracle_reachable,
     reachable_set,
 )
 
-
-def random_dags(max_n=12):
-    return st.builds(
-        gen_random_dag,
-        n=st.integers(min_value=1, max_value=max_n),
-        p=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**63),
-    )
+from .conftest import random_dags
 
 
 @given(random_dags(), st.data())

@@ -24,8 +24,7 @@ from pathreach.testkit import (
     switch_ring,
 )
 
-from .conftest import overlap_instance
-from .test_properties import random_dags
+from .conftest import overlap_instance, random_dags
 
 
 def instances(max_n=14, max_k=6, max_len=10):
@@ -257,15 +256,23 @@ def test_rounds_match_scan_reference(w, data):
 def test_every_small_family():
     # Every family of at most 3 walks and 7 positions, up to relabelling,
     # over two ids more than it uses: each source's levels, and every
-    # field of every answer, against the references.  On an acyclic union
-    # graph a route with fewest switches never returns to a walk it left,
-    # so min_switches <= k - 1, the levels are fixed from level k on, and
-    # each of at most k + 1 rounds looks up at most L positions in pushes
-    # and L in pulls, beside one lookup each of the source and the target.
+    # field of every answer, against the references.  A round looks up at
+    # most L positions: a push scans each walk's new segment and pulls it
+    # at most once, over its prefix, and a pull round scans sum(c) <= L.
+    # A query runs R rounds, one more than its iterations when it ends
+    # unreachable and none when s = t or s occurs nowhere, so it makes at
+    # most L * R lookups beside one each of the source and the target.
+    # Level l + 1 depends only on the vertices reached at level l, so the
+    # levels stop one round after that set stops growing: iterations <=
+    # max(1, V - 1) over V distinct vertices.  On an acyclic union graph a
+    # route with fewest switches never returns to a walk it left, so
+    # min_switches <= k - 1, the levels are fixed from level k on, and
+    # R <= k + 1.
     acyclic = 0
     for family in iter_walk_families(7, 3):
         w = WalkDecomposition(family)
         k, length, n = w.k, sum(map(len, family)), w.implied_vertex_count + 2
+        distinct = len({v for vs in family for v in vs})
         dag = is_acyclic(union_graph(w, n))
         acyclic += dag
         index, _ = _counted(w)
@@ -282,11 +289,14 @@ def test_every_small_family():
                     (level for level, r in enumerate(reached) if t in r), len(ref) - 1)
                 assert res == ReachResult(costs[t] is not None, costs[t], iterations,
                                           2 * k + 8), (family, s, t)
+                rounds = 0 if s == t or not ref else iterations + (not res.reachable)
+                assert index.lookups <= length * rounds + 2, (family, s, t)
+                assert iterations <= max(1, distinct - 1), (family, s, t)
                 if dag:
                     assert res.iterations <= max(1, k), (family, s, t)
                     assert res.min_switches is None or res.min_switches <= max(0, k - 1), (
                         family, s, t)
-                    assert index.lookups <= 2 * length * (k + 1) + 2, (family, s, t)
+                    assert index.lookups <= length * (k + 1) + 2, (family, s, t)
     assert acyclic == 2249
 
 
@@ -295,7 +305,7 @@ def test_every_small_family():
 def test_dag_cover_query_bounds(g):
     # The acyclic bounds of test_every_small_family on minimal covers of
     # larger DAGs, for every pair.  Some queries make more than L + 2
-    # lookups, so only 2L(k + 1) + 2 is asserted.
+    # lookups, so only L(k + 1) + 2 is asserted.
     w = minimal_path_decomposition(g)
     k, length = w.k, sum(map(len, w._paths))
     index, _ = _counted(w)
@@ -305,7 +315,7 @@ def test_dag_cover_query_bounds(g):
             res = decide_reachability(w, s, t, n=g.n)
             assert res.iterations <= max(1, k), (s, t)
             assert res.min_switches is None or res.min_switches <= max(0, k - 1), (s, t)
-            assert index.lookups <= 2 * length * (k + 1) + 2, (s, t)
+            assert index.lookups <= length * (k + 1) + 2, (s, t)
 
 
 def _pulls_per_level(w, s, monkeypatch):
