@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from operator import index
 from typing import Iterator
@@ -75,12 +74,14 @@ def oracle_reachable(g: Digraph, s: int, t: int) -> bool:
 def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
     """Minimum switch count from s to every vertex reachable from it.
 
-    Runs a 0/1 shortest-path search on the occurrence graph: nodes are
+    Runs a 0/1 breadth-first search on the occurrence graph: nodes are
     (walk, position) pairs, advancing one position inside a walk is free,
     and hopping between two occurrences of the same vertex (possibly in
     the same walk) costs one switch.  Entry at any occurrence of s is
-    free, and s costs 0 even when it occurs nowhere.  Keyed by vertex, so
-    the result is sized by the input, not by the largest vertex id.
+    free, and s costs 0 even when it occurs nowhere.  Nodes settle at
+    their first pop, in cost order; a vertex's first settled occurrence
+    gives its cost and queues hops to all its occurrences once, so the
+    work is O(L).  Keyed by vertex, so memory follows the input, not ids.
     """
     paths = w._paths
     occ: dict[int, list[tuple[int, int]]] = {}
@@ -88,29 +89,20 @@ def _switch_cost_map(w: WalkDecomposition, s: int) -> dict[int, int]:
         for p, v in enumerate(vs):
             occ.setdefault(v, []).append((i, p))
 
-    dist = [[None] * len(vs) for vs in paths]
-    queue: deque[tuple[int, int, int]] = deque()
-    for i, p in occ.get(s, []):
-        dist[i][p] = 0
-        queue.append((0, i, p))
+    done = [bytearray(len(vs)) for vs in paths]
+    best = {s: 0}
+    queue = deque((0, i, p) for i, p in occ.get(s, ()))
     while queue:
         cost, i, p = queue.popleft()
-        if dist[i][p] != cost:
+        if done[i][p]:
             continue
-        nxt = p + 1
-        if nxt < len(paths[i]) and (dist[i][nxt] is None or dist[i][nxt] > cost):
-            dist[i][nxt] = cost
-            queue.appendleft((cost, i, nxt))
-        for j, q in occ[paths[i][p]]:
-            if (j, q) != (i, p) and (dist[j][q] is None or dist[j][q] > cost + 1):
-                dist[j][q] = cost + 1
-                queue.append((cost + 1, j, q))
-
-    best = {s: 0}
-    for vs, row in zip(paths, dist):
-        for v, c in zip(vs, row):
-            if c is not None and (v not in best or c < best[v]):
-                best[v] = c
+        done[i][p] = 1
+        if p + 1 < len(paths[i]):
+            queue.appendleft((cost, i, p + 1))
+        v = paths[i][p]
+        if v not in best:
+            best[v] = cost
+            queue.extend((cost + 1, j, q) for j, q in occ[v])
     return best
 
 
@@ -243,44 +235,30 @@ def switch_ring(k: int) -> WalkDecomposition:
     return WalkDecomposition([[k, k + 1, 0, 1], *([i, i + 1] for i in range(1, k))])
 
 
-def _extensions(edges: frozenset[Edge], at: int, blocked: frozenset[int],
-                forward: bool) -> Iterator[tuple[Edge, ...]]:
-    # All simple chains growing from `at`, shortest first, avoiding blocked
-    # vertices; () is always yielded.
-    yield ()
-    for a, b in edges:
-        if forward and a == at and b not in blocked:
-            for rest in _extensions(edges, b, blocked | {b}, forward):
-                yield ((a, b),) + rest
-        elif not forward and b == at and a not in blocked:
-            for rest in _extensions(edges, a, blocked | {a}, forward):
-                yield ((a, b),) + rest
-
-
-@lru_cache(maxsize=None)
-def _min_paths_covering(edges: frozenset[Edge]) -> int:
-    if not edges:
-        return 0
-    e = min(edges)
-    u, v = e
-    rest = edges - {e}
-    best = None
-    for back in _extensions(rest, u, frozenset((u, v)), forward=False):
-        back_vertices = frozenset(x for edge in back for x in edge)
-        for fwd in _extensions(rest - set(back), v,
-                               frozenset((u, v)) | back_vertices, forward=True):
-            used = frozenset(back) | {e} | frozenset(fwd)
-            count = 1 + _min_paths_covering(edges - used)
-            if best is None or count < best:
-                best = count
-    assert best is not None
-    return best
-
-
 def brute_force_path_number(g: Digraph) -> int:
     """Exhaustive minimum number of edge-disjoint simple paths covering all
-    edges of g.  Exponential; intended for graphs with a handful of edges."""
-    return _min_paths_covering(frozenset(g.edges))
+    edges of g.  Every simple path with an edge is recorded as a bit set of
+    edges, by a search from every tail.  Some path of a fewest-path cover
+    of the edge set mask holds mask's lowest edge, so best[mask] is 1 +
+    min(best[mask ^ p]) over the paths p within mask that hold it.
+    Exponential in the edge count; intended for a handful of edges."""
+    bit = {e: 1 << b for b, e in enumerate(sorted(g.edges))}
+    succ: dict[int, list[int]] = {}
+    for u, v in bit:
+        succ.setdefault(u, []).append(v)
+    paths = []
+    stack = [(u, {u}, 0) for u in succ]  # (end, its vertices, its edges)
+    while stack:
+        u, seen, mask = stack.pop()
+        for v in succ.get(u, ()):
+            if v not in seen:
+                paths.append(mask | bit[u, v])
+                stack.append((v, seen | {v}, paths[-1]))
+    best = [0] * (1 << len(bit))
+    for mask in range(1, len(best)):
+        low = mask & -mask
+        best[mask] = 1 + min(best[mask ^ p] for p in paths if p & low and p & mask == p)
+    return best[-1]
 
 
 def iter_small_dags(n: int) -> Iterator[Digraph]:

@@ -8,16 +8,9 @@ from hypothesis import strategies as st
 from pathreach import graph
 from pathreach.graph import Digraph, GraphFormatError, format_graph, is_acyclic, parse_graph
 
+from .conftest import digraphs
+
 DIAMOND = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-
-
-def digraphs(max_n=6):
-    def build(draw):
-        n = draw(st.integers(min_value=0, max_value=max_n))
-        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-        return Digraph(n, edges)
-    return st.composite(build)()
 
 
 class TestParse:

@@ -4,7 +4,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from pathreach import reach
@@ -298,6 +298,29 @@ def test_every_small_family():
                         family, s, t)
                     assert index.lookups <= length * (k + 1) + 2, (family, s, t)
     assert acyclic == 2249
+
+
+@given(instances(max_n=6, max_k=4, max_len=12))
+@settings(max_examples=200, deadline=None)
+def test_query_work_bounds_on_walks_with_repeats(w):
+    # test_every_small_family's bounds, lookups <= L * R + 2 and
+    # iterations <= max(1, V - 1), on every pair of longer families whose
+    # walks repeat vertices, steered toward the lookup bound.
+    length = sum(map(len, w._paths))
+    distinct = len({v for vs in w._paths for v in vs})
+    n = w.implied_vertex_count
+    index, _ = _counted(w)
+    worst = 0.0
+    for s in range(n):
+        for t in range(n):
+            index.lookups = 0
+            res = decide_reachability(w, s, t, n=n)
+            rounds = 0 if s == t or s not in index else res.iterations + (not res.reachable)
+            assert index.lookups <= length * rounds + 2, (s, t)
+            assert res.iterations <= max(1, distinct - 1), (s, t)
+            if rounds:
+                worst = max(worst, (index.lookups - 2) / (length * rounds))
+    target(worst)
 
 
 @given(random_dags(max_n=16))

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -29,6 +30,8 @@ from pathreach.testkit import (
     switch_costs,
     switch_ring,
 )
+
+from .conftest import digraphs
 
 
 class TestReachableOracle:
@@ -84,6 +87,19 @@ class TestSwitchOracle:
     def test_switch_costs_table(self):
         w = WalkDecomposition([[0, 1], [1, 2]])
         assert switch_costs(w, 0) == [0, 0, 1]
+
+    def test_alternating_walk_answers_in_linear_time(self):
+        # 0 and 1 occur 6,000 times each, and every occurrence hops to all
+        # of its vertex's others.  Queuing a vertex's hops once, when its
+        # first occurrence settles, keeps the search O(L); relaxing them at
+        # every settled occurrence is quadratic, ~11 s a query here.
+        w = WalkDecomposition([[0, 1] * 6000])
+        for call in (lambda: oracle_min_switches(w, 0, 1),
+                     lambda: oracle_min_switches(w, 1, 0),
+                     lambda: switch_costs(w, 1)[0]):
+            start = time.perf_counter()
+            assert call() == 0
+            assert time.perf_counter() - start < 2.0
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(1, 10),
            st.integers(0, 5), st.integers(1, 8), st.data())
@@ -230,6 +246,17 @@ class TestBruteForce:
                         == minimal_path_decomposition(r).k)
                 count += 1
         assert count == 1099
+
+    @given(digraphs(max_n=6, max_edges=9))
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_on_any_digraph(self, g):
+        # Cycles allowed, and labels iter_small_dags never draws: no cover
+        # beats the degree bound or needs more paths than edges, and on a
+        # DAG the minimal cover attains the count.
+        count = brute_force_path_number(g)
+        assert path_number_lower_bound(g) <= count <= g.edge_count
+        if is_acyclic(g):
+            assert count == minimal_path_decomposition(g).k
 
     def test_small_dag_enumeration(self):
         counts = [sum(1 for _ in iter_small_dags(n)) for n in range(4)]
