@@ -60,13 +60,11 @@ class Digraph:
         ascending because the keys ascend, () on a side with no edge.
         Memory follows the edges, not the vertex count.  Built on first
         use: checking a cover against the graph needs only the keys."""
-        out: defaultdict[int, list[int]] = defaultdict(list)
-        inc: defaultdict[int, list[int]] = defaultdict(list)
+        sides: defaultdict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
         for u, v in zip(*_key_ends(self._n, self._keys)):
-            out[u].append(v)
-            inc[v].append(u)
-        return {v: (tuple(out.get(v, ())), tuple(inc.get(v, ())))
-                for v in out.keys() | inc.keys()}
+            sides[u][0].append(v)
+            sides[v][1].append(u)
+        return {v: (tuple(succ), tuple(pred)) for v, (succ, pred) in sides.items()}
 
     @property
     def n(self) -> int:

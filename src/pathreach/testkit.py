@@ -130,17 +130,17 @@ def numbered_cover(g: Digraph, rng: random.Random | None = None) -> WalkDecompos
     it is given.  A trace starts on every outgoing edge whose number exceeds
     the vertex's indegree, in (vertex, out number) order, and after entering
     a vertex through in number i leaves along out number i, ending where
-    there is none.  Raises ValueError when a trace revisits a vertex.
-
-    No length guard is needed: the map from an edge to the next edge of its
-    trace is injective and never yields a start edge, so a trace ends
-    within m steps, cyclic g included.
+    there is none.  Raises ValueError when a trace revisits a vertex.  Only
+    the vertices of g's adjacency map are numbered, so the work follows the
+    edges, not n.  No length guard is needed: the map from an edge to the
+    next edge of its trace is injective and never yields a start edge, so
+    a trace ends within m steps, cyclic g included.
     """
     in_number: dict[Edge, int] = {}
     out_edge: dict[tuple[int, int], int] = {}  # (v, out number) -> head
     starts: list[Edge] = []
-    for v in range(g.n):
-        preds, succs = list(g.predecessors(v)), list(g.successors(v))
+    for v, (succs, preds) in sorted(g._adjacency.items()):
+        preds, succs = list(preds), list(succs)
         if rng is not None:
             rng.shuffle(preds)
             rng.shuffle(succs)
@@ -238,19 +238,17 @@ def switch_ring(k: int) -> WalkDecomposition:
 def brute_force_path_number(g: Digraph) -> int:
     """Exhaustive minimum number of edge-disjoint simple paths covering all
     edges of g.  Every simple path with an edge is recorded as a bit set of
-    edges, by a search from every tail.  Some path of a fewest-path cover
-    of the edge set mask holds mask's lowest edge, so best[mask] is 1 +
-    min(best[mask ^ p]) over the paths p within mask that hold it.
+    edges, by a search along g's adjacency map.  Some path of a fewest-path
+    cover of the edge set mask holds mask's lowest edge, so best[mask] is
+    1 + min(best[mask ^ p]) over the paths p within mask that hold it.
     Exponential in the edge count; intended for a handful of edges."""
     bit = {e: 1 << b for b, e in enumerate(sorted(g.edges))}
-    succ: dict[int, list[int]] = {}
-    for u, v in bit:
-        succ.setdefault(u, []).append(v)
+    adjacency = g._adjacency
     paths = []
-    stack = [(u, {u}, 0) for u in succ]  # (end, its vertices, its edges)
+    stack = [(u, {u}, 0) for u in adjacency]  # (end, its vertices, its edges)
     while stack:
         u, seen, mask = stack.pop()
-        for v in succ.get(u, ()):
+        for v in adjacency[u][0]:
             if v not in seen:
                 paths.append(mask | bit[u, v])
                 stack.append((v, seen | {v}, paths[-1]))

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import tomllib
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 import pathreach
 from pathreach import cli
 from pathreach.cli import run
-from pathreach.decomposition import parse_decomposition
+from pathreach.decomposition import format_decomposition, parse_decomposition
 from pathreach.graph import format_graph, parse_graph
 from pathreach.testkit import gen_random_dag, switch_chain
 
@@ -387,6 +389,20 @@ class TestPlumbing:
         assert run(["validate", "--help"]) == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: pathreach validate") and "--paths" in out and err == ""
+
+    def test_console_script_runs_main(self, capsys, monkeypatch):
+        # The `pathreach` command an install puts on PATH calls this entry.
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as f:
+            entry = tomllib.load(f)["project"]["scripts"]["pathreach"]
+        module, _, name = entry.partition(":")
+        main = getattr(import_module(module), name)
+        assert main is cli.main
+        monkeypatch.setattr(sys, "argv", ["pathreach", "gen", "chain", "--n", "4", "--k", "1"])
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == 0
+        assert capsys.readouterr() == (format_decomposition(switch_chain(4, 1)), "")
 
     def test_closed_stdout_pipe_is_no_error(self, capsys, monkeypatch):
         # A reader that stops early, as `| head` does, closes the pipe.

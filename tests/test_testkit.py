@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import product
 
@@ -262,6 +263,25 @@ class TestBruteForce:
         counts = [sum(1 for _ in iter_small_dags(n)) for n in range(4)]
         assert counts == [1, 1, 2, 8]
         assert all(is_acyclic(g) for g in iter_small_dags(3))
+
+
+class TestHugeGraphHeader:
+    # The references read the graph's adjacency map, so their work follows
+    # the edges, not the header's n: numbering every id below n took ~7 s
+    # for this graph, ~10 s shuffled.
+    GRAPH = Digraph(4 * 10**6, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("call, answer", [
+        (lambda g: [tuple(w) for w in numbered_cover(g)], [(0, 1, 2)]),
+        (lambda g: [tuple(w) for w in numbered_cover(g, random.Random(1))], [(0, 1, 2)]),
+        (brute_force_path_number, 1),
+        (lambda g: reachable_set(g, 0), {0, 1, 2}),
+    ], ids=["numbered_cover", "numbered_cover_shuffled", "brute_force_path_number",
+            "reachable_set"])
+    def test_answers_at_once(self, call, answer):
+        start = time.perf_counter()
+        assert call(self.GRAPH) == answer
+        assert time.perf_counter() - start < 1.0
 
 
 def _relabelled_families(max_len, max_k):
