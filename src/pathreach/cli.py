@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: validate, reach, min-switches, decompose, pathnum-lb, gen
-(walks, chain, dag), oracle.  Results go to stdout, diagnostics to stderr.
+(walks, chain, dag), oracle.  Each command returns its exit status and
+its text, and `run` writes the text to stdout, the only write there;
+diagnostics go to stderr.
 Exit codes: 0 affirmative/success, 1 negative answer (unreachable,
 invalid), 2 usage or input error.  File arguments accept '-' for stdin, at
 most one of them per command.
@@ -10,7 +12,9 @@ most one of them per command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 from enum import IntEnum
 from typing import NoReturn, Sequence
@@ -43,28 +47,27 @@ class ExitStatus(IntEnum):
     USAGE = 2     # usage or input error
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse):
+    """parse(text of path), with an unreadable path or a format error
+    reported as an input error."""
     if path == "-" and sys.stdin is None:
         raise ValueError("cannot read -: stdin is closed")
     try:
         if path == "-":
             # Decode stdin as strict UTF-8 like files, whatever the locale.
             raw = getattr(sys.stdin, "buffer", None)
-            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     except ValueError as exc:  # open() refuses a path with a NUL byte
         raise ValueError(f"cannot read {path}: {exc}") from None
-
-
-def _load(path: str, parse):
-    """parse(text of path), with a format error reported as an input error."""
     try:
-        return parse(_read_text(path))
+        return parse(text)
     except (GraphFormatError, DecompositionFormatError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -84,79 +87,72 @@ def _checked_universe(args) -> tuple[WalkDecomposition, int | None]:
     return w, g.n
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[ExitStatus, str]:
     g = _load(args.graph, parse_graph)
     w = _load(args.decomp, parse_decomposition)
-    if args.paths:
-        report = validate_path_decomposition(g, w)
-    else:
-        report = validate_walk_decomposition(g, w)
+    check = validate_path_decomposition if args.paths else validate_walk_decomposition
+    report = check(g, w)
     if report.ok:
-        print("ok")
-        return ExitStatus.OK
-    for violation in report.violations:
-        print(f"{violation.kind.value} {violation.detail}")
-    return ExitStatus.NEGATIVE
+        return ExitStatus.OK, "ok\n"
+    return ExitStatus.NEGATIVE, "".join(
+        f"{violation.kind.value} {violation.detail}\n" for violation in report.violations)
 
 
-def _cmd_reach(args) -> int:
+def _cmd_reach(args) -> tuple[ExitStatus, str]:
     """reach and min-switches: one query, formatted by command."""
     w, n = _checked_universe(args)
     res = decide_reachability(w, args.src, args.dst, n=n)
     if args.command == "min-switches":
-        print(res.min_switches if res.reachable else "UNREACHABLE")
+        line = res.min_switches if res.reachable else "UNREACHABLE"
     elif res.reachable:
-        print(f"REACHABLE switches={res.min_switches} "
-              f"iterations={res.iterations} peak_words={res.peak_words}")
+        line = (f"REACHABLE switches={res.min_switches} "
+                f"iterations={res.iterations} peak_words={res.peak_words}")
     else:
-        print(f"UNREACHABLE iterations={res.iterations} peak_words={res.peak_words}")
-    return ExitStatus.OK if res.reachable else ExitStatus.NEGATIVE
+        line = f"UNREACHABLE iterations={res.iterations} peak_words={res.peak_words}"
+    return (ExitStatus.OK if res.reachable else ExitStatus.NEGATIVE), f"{line}\n"
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple[ExitStatus, str]:
     # A cyclic graph raises CyclicGraphError, whose message is the diagnostic.
     cover = minimal_path_decomposition(_load(args.graph, parse_graph))
-    sys.stdout.write(format_decomposition(cover))
-    return ExitStatus.OK
+    return ExitStatus.OK, format_decomposition(cover)
 
 
-def _cmd_pathnum_lb(args) -> int:
+def _cmd_pathnum_lb(args) -> tuple[ExitStatus, str]:
     g = _load(args.graph, parse_graph)
-    print(path_number_lower_bound(g))
-    return ExitStatus.OK
+    return ExitStatus.OK, f"{path_number_lower_bound(g)}\n"
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[ExitStatus, str]:
     if args.kind == "walks":
         spec = InstanceSeed(n=args.n, k=args.k, max_len=args.max_len, seed=args.seed)
-        sys.stdout.write(format_decomposition(gen_decomposed_instance(spec)))
-    elif args.kind == "chain":
-        sys.stdout.write(format_decomposition(switch_chain(args.n, args.k)))
-    else:
-        sys.stdout.write(format_graph(gen_random_dag(args.n, args.p, args.seed)))
-    return ExitStatus.OK
+        return ExitStatus.OK, format_decomposition(gen_decomposed_instance(spec))
+    if args.kind == "chain":
+        return ExitStatus.OK, format_decomposition(switch_chain(args.n, args.k))
+    return ExitStatus.OK, format_graph(gen_random_dag(args.n, args.p, args.seed))
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[ExitStatus, str]:
     if args.decomp is not None:
         w, n = _checked_universe(args)
         count = oracle_min_switches(w, args.src, args.dst, n=n)
         reachable = count is not None
-        print(f"REACHABLE switches={count}" if reachable else "UNREACHABLE")
+        line = f"REACHABLE switches={count}" if reachable else "UNREACHABLE"
     elif args.graph is not None:
         reachable = oracle_reachable(_load(args.graph, parse_graph), args.src, args.dst)
-        print("REACHABLE" if reachable else "UNREACHABLE")
+        line = "REACHABLE" if reachable else "UNREACHABLE"
     else:
         raise ValueError("oracle needs --decomp or --graph")
-    return ExitStatus.OK if reachable else ExitStatus.NEGATIVE
+    return (ExitStatus.OK if reachable else ExitStatus.NEGATIVE), f"{line}\n"
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors print one `error: <message>` line
-    instead of the usage text; subparsers are made with the same class."""
+    """ArgumentParser whose usage errors raise a one-line ValueError, which
+    `run` reports as it reports an input error, instead of printing the
+    usage text; subparsers are made with the same class."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(ExitStatus.USAGE, f"error: {' '.join(message.splitlines())}\n")
+        raise ValueError(" ".join(message.splitlines()))
 
 
 # Built once per process; parse_args leaves the parser as it was.
@@ -220,25 +216,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Dispatch one command line; returns the exit code without exiting."""
-    parser = _build_parser()
+    """Dispatch one command line and write its text to stdout; returns the
+    exit code without exiting."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return ExitStatus.OK if exc.code in (0, None) else ExitStatus.USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         # Stdin can be read once: checked before either file is read.
         if getattr(args, "graph", None) == "-" == getattr(args, "decomp", None):
             raise ValueError("stdin ('-') given for both --graph and --decomp")
-        return args.func(args)
+        status, text = args.func(args)
+    except SystemExit:  # --help printed the usage text
+        return ExitStatus.OK
     except ValueError as exc:
-        # An unreadable or malformed input, or a library ValueError naming
-        # an argument out of its range.
+        # A usage error, an unreadable or malformed input, or a library
+        # ValueError naming an argument out of its range.
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.USAGE
-    except BrokenPipeError:
-        return ExitStatus.OK
+    # A reader that stops early (`| head`) closes the pipe; the answer's
+    # status stands.
+    with contextlib.suppress(BrokenPipeError):
+        sys.stdout.write(text)
+    return status
 
 
 def main() -> None:
-    sys.exit(run())
+    if sys.stdout is None:  # the process started with stdout closed (`>&-`)
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+    status = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit is silent too; the
+        # recipe of the "Note on SIGPIPE" in Python's `signal` docs.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)

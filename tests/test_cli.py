@@ -367,6 +367,13 @@ class TestOracle:
         capsys.readouterr()
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader is gone, as after `| head` stops reading."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 class TestPlumbing:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
@@ -412,6 +419,14 @@ class TestPlumbing:
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         assert run(["gen", "chain", "--n", "10", "--k", "2"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_pipe_keeps_a_negative_status(self, overlap_decomp, diamond_graph,
+                                                        capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        assert run(["reach", "--decomp", overlap_decomp, "--from", "8", "--to", "1"]) == 1
+        assert run(["validate", "--graph", diamond_graph, "--decomp", overlap_decomp,
+                    "--paths"]) == 1
         assert capsys.readouterr().err == ""
 
     def test_missing_file(self, capsys):
@@ -478,6 +493,53 @@ class TestPlumbing:
         proc = subprocess.run(pipe, shell=True, env=_cli_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "ok"
+
+
+class TestClosedStdout:
+    # A reader that stops early, or a stdout closed at start (`>&-`): the
+    # process exits with the answer's status and writes nothing to stderr,
+    # with Python's buffered stdout and with `-u`.
+    FILES = {
+        "d.walks": OVERLAP_FILE,
+        "empty.walks": "",
+        "big.g": format_graph(gen_random_dag(40, 0.5, 1)),  # 378 edges
+    }
+
+    @pytest.fixture
+    def in_files_dir(self, tmp_path, monkeypatch):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command, code", [
+        ("reach --decomp d.walks --from 8 --to 1", 1),
+        ("gen chain --n 10 --k 2", 0),
+        ("validate --graph big.g --decomp empty.walks --paths", 1),
+    ], ids=["reach", "gen", "validate"])
+    def test_reader_gone(self, in_files_dir, flags, command, code):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = _cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "pathreach", *command.split()],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
+    def test_validate_text_outgrows_the_stdout_buffer(self, in_files_dir, capsys):
+        # So the write itself meets the closed pipe, not only the flush.
+        assert run(["validate", "--graph", "big.g", "--decomp", "empty.walks", "--paths"]) == 1
+        assert len(capsys.readouterr().out) > io.DEFAULT_BUFFER_SIZE
+
+    @pytest.mark.parametrize("command", ["decompose --graph big.g", "gen chain --n 10 --k 2"])
+    def test_stdout_closed_at_start(self, in_files_dir, command):
+        proc = subprocess.run(f"{shlex.quote(sys.executable)} -m pathreach {command} >&-",
+                              shell=True, env=_cli_env(), stderr=subprocess.PIPE, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # A ValueError a library call raises for an out-of-range argument: the
@@ -563,7 +625,7 @@ def test_readme_synopsis_parses():
     parser = cli._build_parser()
     commands = _readme_cli_commands()
     for argv in commands:
-        parser.parse_args(argv)  # a usage error exits 2 and fails the test
+        parser.parse_args(argv)  # a usage error raises ValueError and fails the test
     choices = _subcommand_choices(parser)
     assert {argv[0] for argv in commands} == set(choices)
     gen_kinds = set(_subcommand_choices(choices["gen"]))
