@@ -228,8 +228,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return ExitStatus.OK
     except ValueError as exc:
         # A usage error, an unreadable or malformed input, or a library
-        # ValueError naming an argument out of its range.
-        print(f"error: {exc}", file=sys.stderr)
+        # ValueError naming an argument out of its range.  An unwritable
+        # stderr loses the line, not the status.
+        with contextlib.suppress(OSError):
+            print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.USAGE
     # A reader that stops early (`| head`) closes the pipe; the answer's
     # status stands.
@@ -239,8 +241,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    if sys.stdout is None:  # the process started with stdout closed (`>&-`)
+    # A stream closed at start (`>&-`, `2>&-`) is None; print would send
+    # a diagnostic for a None stderr to stdout.
+    if sys.stdout is None:
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     status = run()
     try:
         sys.stdout.flush()

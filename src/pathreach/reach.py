@@ -46,22 +46,23 @@ def _pull(paths, occ, c, j) -> int:
     return c[j]
 
 
-def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
-    """The registers of each level, from level 0 on.
+def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list[int]]]:
+    """(level, c, d) for each level from 0 on: c holds the level's
+    registers and d the previous level's (each walk's length at level 0),
+    so [c[i], d[i]) is the segment of walk i newly reached at that level.
+    No register of either is pending (see below) at a yield.
 
     Level 1 is always yielded, even when it equals level 0, so a query
     whose source occurs counts at least one round; after that the
     generator ends at the first round that moves no register.  Nothing is
-    yielded when s occurs in no walk.  A yielded list is a live register
-    array: the next round reads it as the current level, and the round
-    after reads it as the previous level and then overwrites it.  Do not
-    mutate it, and copy it to keep it longer than two resumptions.
+    yielded when s occurs in no walk.  Both yielded lists are live
+    register arrays: on resumption the next round reads c and overwrites
+    d, and the round after overwrites c.  Do not mutate them; copy d to
+    keep it across a resumption, and c to keep it across two.
 
     Each round computes the next level from c into d.  On entry d holds
-    the previous level (each walk's length before the first round), so
-    [c[i], d[i]) is the segment of walk i that the last round newly
-    reached; a vertex from d[i] on has already lowered every register it
-    can.
+    the previous level, so a vertex from d[i] on has already lowered
+    every register it can.
 
     A round either pulls or pushes.  A pull runs _pull on every walk, at
     most sum(c) index lookups.  A push visits the walks in order and scans
@@ -100,9 +101,9 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
     d = c[:]
     for i, last in source:
         c[i] = paths[i].index(s) if repeats[i] else last
-    yield c
     level = 0
     while True:
+        yield level, c, d
         if any_repeats and sum(d) - sum(c) > sum(c):
             for j in range(len(paths)):
                 d[j] = _pull(paths, occ, c, j)
@@ -132,7 +133,6 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[list[int]]:
             return
         level += 1
         c, d = d, c
-        yield c
 
 
 def decide_reachability(
@@ -158,7 +158,7 @@ def decide_reachability(
         return ReachResult(True, 0, 0, peak_words)
     target = w._index[0].get(t, ())
     level = 0
-    for level, c in enumerate(_rounds(w, s)):
+    for level, c, _ in _rounds(w, s):
         for i, last in target:
             if last >= c[i]:
                 return ReachResult(True, level, level, peak_words)

@@ -542,6 +542,29 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+class TestClosedStderr:
+    # A stderr closed at start (`2>&-`) or open read-only (`2</dev/null`)
+    # loses the diagnostic, but the process still exits 2 and writes
+    # nothing to stdout.
+    @pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+    @pytest.mark.parametrize("command", ["pathnum-lb --graph missing.g", "reach --bogus"],
+                             ids=["missing-file", "usage"])
+    def test_error_keeps_its_status(self, tmp_path, command, redirect):
+        proc = subprocess.run(f"{shlex.quote(sys.executable)} -m pathreach {command} {redirect}",
+                              shell=True, cwd=tmp_path, env=_cli_env(),
+                              stdout=subprocess.PIPE, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+
+    def test_unwritable_stderr_in_process(self, tmp_path, monkeypatch, capsys):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError("stderr is not writable")
+
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        assert run(["pathnum-lb", "--graph", str(tmp_path / "missing.g")]) == 2
+        assert capsys.readouterr().out == ""
+
+
 # A ValueError a library call raises for an out-of-range argument: the
 # command exits 2 with exactly this stderr line.  Paths are relative to a
 # directory holding DIAGNOSTIC_FILES.

@@ -41,10 +41,10 @@ def instances(max_n=14, max_k=6, max_len=10):
 
 
 def levels(w, s):
-    """The register tuples _rounds yields, None where no position is known
-    (a register at its walk's length)."""
+    """The current register tuples _rounds yields, level by level, None
+    where no position is known (a register at its walk's length)."""
     return [tuple(None if x == len(walk) else x for x, walk in zip(c, w))
-            for c in _rounds(w, s)]
+            for _, c, _ in _rounds(w, s)]
 
 
 class TestAdvanceFrontier:
@@ -251,6 +251,24 @@ def test_rounds_match_scan_reference(w, data):
     n = w.implied_vertex_count
     s = data.draw(st.integers(min_value=0, max_value=n - 1))
     assert levels(w, s) == _reference_levels(w, s)
+
+
+@given(st.one_of(instances(), st.builds(minimal_path_decomposition, random_dags())))
+@settings(max_examples=100, deadline=None)
+def test_rounds_yield_level_current_and_previous(w):
+    # Each yield is (level, c, d): levels count 0, 1, 2, ..., d is each
+    # walk's length at level 0 and the previous yield's c after that, with
+    # no register left pending (negative), and the c are the levels.
+    lengths = [len(walk) for walk in w]
+    for s in sorted({v for walk in w for v in walk.vertices}):
+        seen, previous = [], lengths
+        for level, c, d in _rounds(w, s):
+            assert level == len(seen), s
+            assert d == previous, (s, level)
+            assert min(c) >= 0 and min(d) >= 0, (s, level)
+            previous = c[:]
+            seen.append(tuple(None if x == n else x for x, n in zip(c, lengths)))
+        assert seen == levels(w, s), s
 
 
 def test_every_small_family():
@@ -613,6 +631,39 @@ def test_walk_order_changes_no_answer(w, data):
     for s in range(n):
         for t in range(n):
             assert decide_reachability(shuffled, s, t) == decide_reachability(w, s, t), (s, t)
+
+
+def _check_reversal_and_relabelling(w, n, pairs, perm):
+    # Reversing every walk reverses every route, switches included, so on
+    # the reversed walks t reaches s with the same fewest switches; the
+    # rounds differ, so iterations may too.  Renaming the ids changes no
+    # field of any answer.
+    reversed_w = WalkDecomposition([walk.vertices[::-1] for walk in w])
+    renamed_w = WalkDecomposition([[perm[v] for v in walk.vertices] for walk in w])
+    for s, t in pairs:
+        res = decide_reachability(w, s, t, n=n)
+        back = decide_reachability(reversed_w, t, s, n=n)
+        assert (back.reachable, back.min_switches) == (res.reachable, res.min_switches), (s, t)
+        assert decide_reachability(renamed_w, perm[s], perm[t], n=n) == res, (s, t)
+
+
+@given(instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_reversal_and_relabelling_on_all_pairs(w, data):
+    n = w.implied_vertex_count
+    perm = data.draw(st.permutations(range(n)))
+    _check_reversal_and_relabelling(w, n, [(s, t) for s in range(n) for t in range(n)], perm)
+
+
+def test_reversal_and_relabelling_on_seeded_pairs():
+    # The relations on the walks_random benchmark's instance, before its
+    # ids are shifted, and on chain_deep's.
+    rng = random.Random(5)
+    for w in (gen_decomposed_instance(InstanceSeed(1000, 64, 100, 3)), switch_chain(800, 4)):
+        n = w.implied_vertex_count
+        perm = rng.sample(range(n), n)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(100)]
+        _check_reversal_and_relabelling(w, n, pairs, perm)
 
 
 def _ladder(m):
