@@ -2,8 +2,8 @@
 
 Subcommands: validate, reach, min-switches, decompose, pathnum-lb, gen
 (walks, chain, dag), oracle.  Each command returns its exit status and
-its text, and `run` writes the text to stdout, the only write there;
-diagnostics go to stderr.
+its text, and `run` writes the text to stdout, or the one `error:` line to
+stderr, in its only write.
 Exit codes: 0 affirmative/success, 1 negative answer (unreachable,
 invalid), 2 usage or input error.  File arguments accept '-' for stdin, at
 most one of them per command.
@@ -216,8 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Dispatch one command line and write its text to stdout; returns the
-    exit code without exiting."""
+    """Dispatch one command line and write its text to stdout, or the one
+    `error:` line to stderr; returns the exit code without exiting."""
     try:
         args = _build_parser().parse_args(argv)
         # Stdin can be read once: checked before either file is read.
@@ -228,30 +228,31 @@ def run(argv: Sequence[str] | None = None) -> int:
         return ExitStatus.OK
     except ValueError as exc:
         # A usage error, an unreadable or malformed input, or a library
-        # ValueError naming an argument out of its range.  An unwritable
-        # stderr loses the line, not the status.
-        with contextlib.suppress(OSError):
-            print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.USAGE
-    # A reader that stops early (`| head`) closes the pipe; the answer's
-    # status stands.
-    with contextlib.suppress(BrokenPipeError):
-        sys.stdout.write(text)
+        # ValueError naming an argument out of its range.
+        status, text = ExitStatus.USAGE, f"error: {exc}\n"
+    # Exit 2 writes its line to stderr, any other status its answer to
+    # stdout.  A stream that cannot take it (a reader that stopped early,
+    # an fd open read-only) loses the text, not the status.
+    with contextlib.suppress(OSError):
+        (sys.stderr if status == ExitStatus.USAGE else sys.stdout).write(text)
     return status
 
 
 def main() -> None:
-    # A stream closed at start (`>&-`, `2>&-`) is None; print would send
-    # a diagnostic for a None stderr to stdout.
+    # No `print` is left to skip a None stream, and a stream closed at start
+    # (`>&-`, `2>&-`) is None, on which `write` raises AttributeError, not
+    # the OSError that `run` suppresses.
     if sys.stdout is None:
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
     status = run()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull so the flush at exit is silent too; the
-        # recipe of the "Note on SIGPIPE" in Python's `signal` docs.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            # A failed write stays buffered.  Point the stream at devnull so
+            # the flush at exit is silent too; the recipe of the "Note on
+            # SIGPIPE" in Python's `signal` docs.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(status)

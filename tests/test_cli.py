@@ -139,10 +139,14 @@ def _gen_file(tmp_path, kind_args, capsys):
 
 
 def _cli_env():
-    """The environment with this checkout's package importable."""
+    """The environment with this checkout's package importable, and with
+    Python's default buffered output: a test that wants unbuffered output
+    passes -u."""
     src = str(Path(pathreach.__file__).resolve().parent.parent)
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def _cli_subprocess(args, **kwargs):
@@ -412,12 +416,7 @@ class TestPlumbing:
         assert capsys.readouterr() == (format_decomposition(switch_chain(4, 1)), "")
 
     def test_closed_stdout_pipe_is_no_error(self, capsys, monkeypatch):
-        # A reader that stops early, as `| head` does, closes the pipe.
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
         assert run(["gen", "chain", "--n", "10", "--k", "2"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -495,22 +494,25 @@ class TestPlumbing:
         assert proc.stdout.strip() == "ok"
 
 
+# The inputs of the stream tests, written to a temporary working directory.
+STREAM_FILES = {
+    "d.walks": OVERLAP_FILE,
+    "empty.walks": "",
+    "big.g": format_graph(gen_random_dag(40, 0.5, 1)),  # 378 edges
+}
+
+
+@pytest.fixture
+def in_files_dir(tmp_path, monkeypatch):
+    for name, text in STREAM_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
 class TestClosedStdout:
     # A reader that stops early, or a stdout closed at start (`>&-`): the
     # process exits with the answer's status and writes nothing to stderr,
     # with Python's buffered stdout and with `-u`.
-    FILES = {
-        "d.walks": OVERLAP_FILE,
-        "empty.walks": "",
-        "big.g": format_graph(gen_random_dag(40, 0.5, 1)),  # 378 edges
-    }
-
-    @pytest.fixture
-    def in_files_dir(self, tmp_path, monkeypatch):
-        for name, text in self.FILES.items():
-            (tmp_path / name).write_text(text)
-        monkeypatch.chdir(tmp_path)
-
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command, code", [
         ("reach --decomp d.walks --from 8 --to 1", 1),
@@ -520,12 +522,10 @@ class TestClosedStdout:
     def test_reader_gone(self, in_files_dir, flags, command, code):
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = _cli_env()
-        env.pop("PYTHONUNBUFFERED", None)
         try:
             proc = subprocess.run(
                 [sys.executable, *flags, "-m", "pathreach", *command.split()],
-                env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+                env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=60)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (code, b"")
@@ -563,6 +563,57 @@ class TestClosedStderr:
         monkeypatch.setattr(sys, "stderr", Unwritable())
         assert run(["pathnum-lb", "--graph", str(tmp_path / "missing.g")]) == 2
         assert capsys.readouterr().out == ""
+
+
+# Each command with its documented exit status; validate writes 16,816
+# bytes, more than io.DEFAULT_BUFFER_SIZE, so a buffered write meets the
+# stream itself, not only the flush at exit.
+STREAM_COMMANDS = {
+    "reach": ("reach --decomp d.walks --from 5 --to 3", 0),
+    "validate": ("validate --graph big.g --decomp empty.walks --paths", 1),
+    "error": ("pathnum-lb --graph missing.g", 2),
+}
+# The shell redirection of each stream state.  A reader that is gone needs
+# none: the process gets the write end of a pipe whose read end is closed.
+STDOUT_STATES = {"open": "", "reader-gone": "", "closed": ">&-", "read-only": "1</dev/null"}
+STDERR_STATES = {"open": "", "closed": "2>&-", "read-only": "2</dev/null"}
+
+
+def _stream_cells():
+    """Every command in every pair of stream states with buffered output,
+    and with -u where a write fails at once instead of at the flush."""
+    for name in STREAM_COMMANDS:
+        for out in STDOUT_STATES:
+            for err in STDERR_STATES:
+                yield pytest.param(name, out, err, "", id=f"{name}-{out}-{err}-buffered")
+        for out in ("reader-gone", "read-only"):
+            yield pytest.param(name, out, "open", "-u", id=f"{name}-{out}-open-unbuffered")
+
+
+@pytest.mark.parametrize("name, out, err, flags", _stream_cells())
+def test_stream_table(in_files_dir, name, out, err, flags):
+    # The exit status is the command's in every state; exit 2 writes nothing
+    # to stdout, and an open stderr holds exactly one `error: ` line on exit
+    # 2 and nothing otherwise.
+    command, code = STREAM_COMMANDS[name]
+    line = (f"{shlex.quote(sys.executable)} {flags} -m pathreach {command} "
+            f"{STDOUT_STATES[out]} {STDERR_STATES[err]}")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(line, shell=True, env=_cli_env(), stderr=subprocess.PIPE,
+                              stdout=write_end if out == "reader-gone" else subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code, proc.stderr
+    if out == "open":
+        assert bool(proc.stdout) == (code != 2)
+    lines = proc.stderr.decode().splitlines()
+    if code == 2 and err == "open":
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert lines == []
 
 
 # A ValueError a library call raises for an out-of-range argument: the
