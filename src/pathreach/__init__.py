@@ -2,11 +2,13 @@
 
 Given a directed graph together with a family of k walks covering its
 edges, reachability queries (decide_reachability) run with 2k index
-registers plus eight scalars of working state, and report the minimum
-number of switches between walks along the way.  For acyclic graphs the
-package also computes a provably minimal edge-disjoint path cover by
-numbering each vertex's incident edges and following the numbers.  The
-public API is the names below, each documented in README.md.
+registers plus the round loop's at most eight index-sized scalars of
+working state (README's "Working-space accounting" says what that count
+leaves out), and report the minimum number of switches between walks
+along the way.  For acyclic graphs the package also computes a provably
+minimal edge-disjoint path cover by numbering each vertex's incident
+edges and following the numbers.  The public API is the names below,
+each documented in README.md.
 """
 
 from .dagcover import CyclicGraphError, minimal_path_decomposition

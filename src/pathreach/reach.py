@@ -64,33 +64,32 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     the previous level, so a vertex from d[i] on has already lowered
     every register it can.
 
-    A round either pulls or pushes.  A pull runs _pull on every walk, at
-    most sum(c) index lookups.  A push visits the walks in order and scans
-    each new segment once, sum(d) - sum(c) lookups; a scanned vertex may
-    lower d[j] to its first position in each walk j it occurs in.  A
-    round pulls when some walk repeats a vertex and sum(d) - sum(c) >
-    sum(c); every other round pushes.
-
-    A push writes that position only into a path j with no segment left
-    to scan (d[j] <= c[j]), where the vertex's one position is its
-    entry's last.  A walk j that still has its segment to scan, or that
-    repeats a vertex, goes pending instead, unless it is pending already
-    or d[j] is 0, below which nothing lies: d[j] holds ~d[j], a negative
-    int, so its segment end survives without flag bits.  A pending walk
-    ignores later pushes and scans its segment at its turn.  It is then
-    pulled: a pull from c checks every vertex known at the current level,
-    so it yields the complete next register, which no push can lower.  A
-    path is pulled right after its turn, since it cannot go pending once
-    d[i] <= c[i]; a walk that repeats a vertex can, and is pulled at
-    round end.
+    A push visits the walks in order and scans each new segment once,
+    sum(d) - sum(c) index lookups; a scanned vertex may lower d[j] in
+    each walk j it occurs in.  In a path its one position is the entry's
+    last, which the push writes into d[j] once j has no segment left to
+    scan (d[j] <= c[j]).  A push marks a walk pending when it can lower
+    its register but cannot write it; every pending walk is pulled at
+    round end.  That is a walk j that repeats a vertex, unless d[j] is 0,
+    below which nothing lies, and a path whose segment is still to scan,
+    when last < c[j]: an entry at or after c[j] is reached at this level
+    already.  A pending d[j] holds ~d[j], a negative int, so its segment
+    end survives without flag bits; it ignores later pushes and still
+    scans its segment at its turn.  A pull runs _pull, at most c[j]
+    lookups: from c it checks every vertex known at the current level,
+    so it yields the complete next register.  When some walk repeats a
+    vertex and the new segments are longer than the prefixes, sum(d) >
+    2 * sum(c), the round marks every walk pending instead of pushing;
+    it scans no segment, so each holds -1.
 
     A round holds at most eight index-sized scalars beside c and d
     (_QUERY_SCRATCH_WORDS).  A push: the round counter, the scanned walk
     i, its segment end, the scan position q, the vertex vs[q], the cursor
     into its index entries, the pushed walk j and the entry's last (dj
-    only caches d[j]).  A pull: the round counter, the pulled walk j, and
-    in _pull q, vs[q], the entry cursor, and the entry's walk and last.
-    The sums that pick the kind of round are dead once it starts.
+    only caches d[j]), beside the one bit that records a mark.  A pull:
+    the round counter, the sweep's cursor and the pulled walk j, and in
+    _pull q, vs[q], the entry cursor, and the entry's walk and last.  The
+    sums that pick the kind of round are dead once it starts.
     """
     occ, repeats, any_repeats = w._index
     source = occ.get(s)
@@ -104,9 +103,10 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     level = 0
     while True:
         yield level, c, d
-        if any_repeats and sum(d) - sum(c) > sum(c):
-            for j in range(len(paths)):
-                d[j] = _pull(paths, occ, c, j)
+        pending = any_repeats and sum(d) > 2 * sum(c)
+        if pending:
+            for j in range(len(d)):
+                d[j] = -1
         else:
             for i, end in enumerate(d):
                 if end < 0:
@@ -119,16 +119,15 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
                 for q in range(c[i], end):
                     for j, last in occ[vs[q]]:
                         dj = d[j]
-                        if dj > c[j] or repeats[j] and dj > 0:
+                        if dj > c[j] > last or repeats[j] and dj > 0:
                             d[j] = ~dj
-                        elif last < dj:
+                            pending = True
+                        elif last < dj <= c[j]:
                             d[j] = last
-                if d[i] < 0 and not repeats[i]:
-                    d[i] = _pull(paths, occ, c, i)
-            if any_repeats:
-                for j in range(len(paths)):
-                    if d[j] < 0:
-                        d[j] = _pull(paths, occ, c, j)
+        if pending:
+            for j, dj in enumerate(d):
+                if dj < 0:
+                    d[j] = _pull(paths, occ, c, j)
         if level and d == c:
             return
         level += 1

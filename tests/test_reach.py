@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -387,9 +388,10 @@ class TestRoundKinds:
         # Round 1: c = (1, 0), previous level the walk lengths (1, 3).
         # Walk 1 repeats vertex 6, so the rule runs: the new segment (3
         # positions) costs more to push than the prefixes (1) cost to
-        # pull, so every walk is pulled, and the pull of walk 0 finds
-        # vertex 3, which occurs at 1, after c[1] = 0, in walk 1.  Round 2,
-        # with new = 1 > sum(c) = 0, pulls both walks again.
+        # pull, so every walk is marked pending and pulled at round end,
+        # and the pull of walk 0 finds vertex 3, which occurs at 1, after
+        # c[1] = 0, in walk 1.  Round 2, with new = 1 > sum(c) = 0, pulls
+        # both walks again.
         w = WalkDecomposition([[3], [6, 3, 6]])
         assert levels(w, 6) == _reference_levels(w, 6) == [(None, 0), (0, 0)]
         assert _pulls_per_level(w, 6, monkeypatch) == [(), (0, 1), (0, 1)]
@@ -423,13 +425,46 @@ class TestRoundKinds:
         # registers only, so it lowers nothing; vertex 6 lowers walks 1
         # and 2, still waiting for their turns, from 1 to 0 with no pull.
         # Round 3, which moves nothing: c = (1, 0, 0), previous level
-        # (1, 1, 1).  Walk 1's segment holds vertex 6 again, and walk 2,
-        # which moved, goes pending before its turn; it is pulled at its
-        # own turn, from an empty prefix.
+        # (1, 1, 1).  Walk 1's segment holds vertex 6 again, whose entry
+        # in walk 2, which moved, sits at 0, not below c[2] = 0: it is
+        # reached at this level already, so nothing is marked or pulled.
         w = WalkDecomposition([[3, 1, 6], [6, 5, 1], [6]])
         assert (levels(w, 5) == _reference_levels(w, 5)
                 == [(None, 1, None), (1, 1, None), (1, 0, 0)])
-        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), (), (2,)]
+        assert _pulls_per_level(w, 5, monkeypatch) == [(), (), (), ()]
+
+    def test_path_pushed_below_its_register_is_pulled_at_round_end(self, monkeypatch):
+        # Round 1: c = (0, 1, 0), previous level the walk lengths (2, 2,
+        # 2); every walk is a path and moved.  Walk 0's segment holds
+        # vertex 0, whose entries in walks 1 and 2 sit at their registers,
+        # and vertex 1, which sits at 0 in walk 1, below c[1] = 1: walk 1,
+        # with its segment still to scan, goes pending.  It scans its
+        # segment at its turn, walk 2 scans its own after it, and only
+        # then, after all 6 lookups of the round (the source's included),
+        # the sweep pulls walk 1, once, to 0.
+        w = WalkDecomposition([[0, 1], [1, 0], [0, 2]])
+        index, _ = _counted(w)
+        pull, pulled = reach._pull, []
+
+        def spy(paths, occ, c, j):
+            pulled.append((j, index.lookups))
+            return pull(paths, occ, c, j)
+
+        monkeypatch.setattr(reach, "_pull", spy)
+        assert levels(w, 0) == _reference_levels(w, 0) == [(0, 1, 0), (0, 0, 0)]
+        assert pulled == [(1, 6)]
+
+    def test_push_round_that_marks_nothing_pulls_nothing(self, monkeypatch):
+        # Walk 2 repeats vertices 5 and 6, out of the source's reach.
+        # Round 1: c = (0, 0, 6), previous level the lengths (2, 3, 6);
+        # new = 5 is not above sum(c) = 6, so the round pushes although
+        # some walk repeats a vertex.  Walk 0's segment holds vertices 0
+        # and 2, whose entries in walk 1 sit at 0 and 1, at or after
+        # c[1] = 0, so walk 1 is not marked although its segment is still
+        # to scan.  No round marks a walk, so none pulls.
+        w = WalkDecomposition([[0, 2], [0, 2, 3], [5, 6, 5, 6, 5, 6]])
+        assert levels(w, 0) == _reference_levels(w, 0) == [(0, 0, None), (0, 0, None)]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), (), ()]
 
     def test_push_into_a_walk_that_repeats_the_vertex(self, monkeypatch):
         # Round 1: c = (4,), previous level the length (6,).  Walk 0
@@ -542,6 +577,27 @@ def test_chain_query_index_lookups_are_linear_in_n(n, repeats):
     else:
         assert compared == 0
         assert index.lookups <= 2 * n, index.lookups
+
+
+@pytest.mark.parametrize("s, pulls", [
+    pytest.param(1, {}, id="1"),
+    pytest.param(10, {}, id="10"),
+    pytest.param(57, {2: (3,)}, id="57"),
+    pytest.param(100, {2: (2,)}, id="100"),
+    pytest.param(150, {}, id="150"),
+])
+def test_chain_query_pulls_per_round(s, pulls, monkeypatch):
+    # On switch_chain(200, 4) a source s occurs in two walks, and round 1
+    # scans both from s on.  Each holds the other's vertices only at or
+    # after the other's register, which a push cannot lower, so round 1
+    # marks and pulls nothing.  A later round pulls a path only when an
+    # earlier walk reaches it below its register before its turn, which
+    # happens in round 2 from some sources.  The levels run to the end of
+    # the chain, and the query s -> 199 costs 198 - s switches.
+    w = switch_chain(200, 4)
+    assert decide_reachability(w, s, 199).min_switches == 198 - s
+    assert _pulls_per_level(w, s, monkeypatch) == [pulls.get(level, ())
+                                                   for level in range(200 - s)]
 
 
 @pytest.mark.parametrize("length, repeats", [
@@ -664,6 +720,48 @@ def test_reversal_and_relabelling_on_seeded_pairs():
         perm = rng.sample(range(n), n)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(100)]
         _check_reversal_and_relabelling(w, n, pairs, perm)
+
+
+def _switch_matrix(w, n):
+    return [[decide_reachability(w, s, t, n=n).min_switches for t in range(n)]
+            for s in range(n)]
+
+
+@given(instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_split_triangle_and_one_walk_relations(w, data):
+    # Three more relations of the engine with itself, on every pair:
+    # - x at or before y on one walk: 0 switches;
+    # - the triangle: a route to u and one on from u join with at most
+    #   one switch at u, so ms(s, t) <= ms(s, u) + ms(u, t) + 1, and
+    #   reachability is transitive;
+    # - splitting walk i at an inner position p into its positions up to
+    #   p and its positions from p keeps every edge, so reachability
+    #   stays.  A route with a switches runs on a + 1 walk pieces, each
+    #   crossing p at most once, so the split costs b switches with
+    #   a <= b <= 2a + 1.
+    n = w.implied_vertex_count
+    ms = _switch_matrix(w, n)
+    for walk in w:
+        vs = walk.vertices
+        for p in range(len(vs)):
+            for q in range(p, len(vs)):
+                assert ms[vs[p]][vs[q]] == 0, (vs[p], vs[q])
+    for s, u, t in itertools.product(range(n), repeat=3):
+        if ms[s][u] is not None and ms[u][t] is not None:
+            assert ms[s][t] is not None and ms[s][t] <= ms[s][u] + ms[u][t] + 1, (s, u, t)
+    inner = [(i, p) for i, walk in enumerate(w) for p in range(1, len(walk) - 1)]
+    if not inner:
+        return
+    i, p = data.draw(st.sampled_from(inner))
+    walks = [walk.vertices for walk in w]
+    walks[i:i + 1] = walks[i][:p + 1], walks[i][p:]
+    split = _switch_matrix(WalkDecomposition(walks), n)
+    for s in range(n):
+        for t in range(n):
+            a, b = ms[s][t], split[s][t]
+            assert (a is None) == (b is None), (i, p, s, t)
+            assert a is None or a <= b <= 2 * a + 1, (i, p, s, t)
 
 
 def _ladder(m):
