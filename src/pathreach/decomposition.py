@@ -27,6 +27,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import Digraph, Edge, _edge_keys, _key_ends, _lines, _step_keys
 
+# The (walk, last) entries of one vertex in the occurrence index, in walk
+# order (WalkDecomposition._index).
+_Entries = list[tuple[int, int]]
+
 
 class DecompositionFormatError(ValueError):
     """A decomposition file could not be parsed."""
@@ -131,28 +135,31 @@ class WalkDecomposition:
     @cached_property
     def _index(
         self,
-    ) -> tuple[dict[int, tuple[tuple[int, int], ...]], tuple[bool, ...], bool]:
+    ) -> tuple[dict[int, _Entries], tuple[tuple[_Entries, ...], ...], tuple[bool, ...], bool]:
         """The occurrence index: read-only input, derived once per
         instance and shared by all queries.
 
-        It is the triple (occ, repeats, any_repeats).  occ maps each vertex
-        that occurs to one (walk, last) entry per walk containing it, in
-        walk order, where last is the vertex's largest position in that
-        walk; it holds at most one entry per position, whatever the
-        largest vertex id.  repeats[i] tells whether walk i repeats a
-        vertex, which it does exactly when it has fewer distinct vertices
-        than positions; in a walk that does not, last is the vertex's only
-        position.  any_repeats tells whether any walk does.
+        It is the quadruple (occ, at, repeats, any_repeats).  occ maps each
+        vertex that occurs to one (walk, last) entry per walk containing
+        it, in walk order, where last is the vertex's largest position in
+        that walk; it holds at most one entry per position, whatever the
+        largest vertex id.  at holds one row per walk: at[i][q] is the
+        entry list that occ holds for the vertex at position q of walk i,
+        the same object, so a row costs one word per position.
+        repeats[i] tells whether walk i repeats a vertex, which it does
+        exactly when it has fewer distinct vertices than positions; in a
+        walk that does not, last is the vertex's only position.
+        any_repeats tells whether any walk does.
         """
-        by_vertex: dict[int, list[tuple[int, int]]] = {}
-        repeats = []
+        occ: dict[int, _Entries] = {}
+        at, repeats = [], []
         for i, vs in enumerate(self._paths):
             lasts = dict(zip(vs, range(len(vs))))
             repeats.append(len(lasts) < len(vs))
             for v, last in lasts.items():
-                by_vertex.setdefault(v, []).append((i, last))
-        occ = {v: tuple(entries) for v, entries in by_vertex.items()}
-        return occ, tuple(repeats), any(repeats)
+                occ.setdefault(v, []).append((i, last))
+            at.append(tuple(map(occ.__getitem__, vs)))
+        return occ, tuple(at), tuple(repeats), any(repeats)
 
     def __len__(self) -> int:
         return len(self._paths)

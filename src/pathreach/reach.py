@@ -65,17 +65,21 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     every register it can.
 
     A push visits the walks in order and scans each new segment once,
-    sum(d) - sum(c) index lookups; a scanned vertex may lower d[j] in
-    each walk j it occurs in.  In a path its one position is the entry's
-    last, which the push writes into d[j] once j has no segment left to
-    scan (d[j] <= c[j]).  A push marks a walk pending when it can lower
-    its register but cannot write it; every pending walk is pulled at
-    round end.  That is a walk j that repeats a vertex, unless d[j] is 0,
-    below which nothing lies, and a path whose segment is still to scan,
-    when last < c[j]: an entry at or after c[j] is reached at this level
-    already.  A pending d[j] holds ~d[j], a negative int, so its segment
-    end survives without flag bits; it ignores later pushes and still
-    scans its segment at its turn.  A pull runs _pull, at most c[j]
+    sum(d) - sum(c) index lookups: the entries of position q of walk i
+    are read from its row, at[i][q].  A scanned vertex may lower d[j] in
+    each other walk j it occurs in.  In a path its one position is the
+    entry's last, which the push writes into d[j] once j has no segment
+    left to scan (d[j] <= c[j]).  A push marks a walk pending when it can
+    lower its register but cannot write it; every pending walk is pulled
+    at round end.  That is a walk j that repeats a vertex, unless d[j] is
+    0, below which nothing lies, and a path whose segment is still to
+    scan, when last < c[j]: an entry at or after c[j] is reached at this
+    level already.  So the scan skips walk i's own entries: on a path
+    they sit at or after c[i] and lower nothing, and a walk i that
+    repeats a vertex marks itself once, at its turn before its scan,
+    when c[i] > 0.  A pending d[j] holds ~d[j], a negative int, so its
+    segment end survives without flag bits; it ignores later pushes and
+    still scans its segment at its turn.  A pull runs _pull, at most c[j]
     lookups: from c it checks every vertex known at the current level,
     so it yields the complete next register.  When some walk repeats a
     vertex and the new segments are longer than the prefixes, sum(d) >
@@ -83,15 +87,16 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     it scans no segment, so each holds -1.
 
     A round holds at most eight index-sized scalars beside c and d
-    (_QUERY_SCRATCH_WORDS).  A push: the round counter, the scanned walk
-    i, its segment end, the scan position q, the vertex vs[q], the cursor
-    into its index entries, the pushed walk j and the entry's last (dj
-    only caches d[j]), beside the one bit that records a mark.  A pull:
-    the round counter, the sweep's cursor and the pulled walk j, and in
-    _pull q, vs[q], the entry cursor, and the entry's walk and last.  The
-    sums that pick the kind of round are dead once it starts.
+    (_QUERY_SCRATCH_WORDS).  A push holds seven: the round counter, the
+    scanned walk i, its segment end, the scan position q, the cursor into
+    the entries at[i][q], the pushed walk j and the entry's last (dj only
+    caches d[j]), beside the one bit that records a mark; the row is
+    read-only input, as the walk is.  A pull holds eight: the round
+    counter, the sweep's cursor and the pulled walk j, and in _pull q,
+    vs[q], the entry cursor, and the entry's walk and last.  The sums
+    that pick the kind of round are dead once it starts.
     """
-    occ, repeats, any_repeats = w._index
+    occ, at, repeats, any_repeats = w._index
     source = occ.get(s)
     if source is None:
         return
@@ -112,18 +117,23 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
                 if end < 0:
                     end = ~end
                 elif end > c[i]:
-                    d[i] = c[i]
+                    if repeats[i] and c[i]:
+                        d[i] = ~c[i]
+                        pending = True
+                    else:
+                        d[i] = c[i]
                 else:
                     continue
-                vs = paths[i]
+                row = at[i]
                 for q in range(c[i], end):
-                    for j, last in occ[vs[q]]:
-                        dj = d[j]
-                        if dj > c[j] > last or repeats[j] and dj > 0:
-                            d[j] = ~dj
-                            pending = True
-                        elif last < dj <= c[j]:
-                            d[j] = last
+                    for j, last in row[q]:
+                        if j != i:
+                            dj = d[j]
+                            if dj > c[j] > last or repeats[j] and dj > 0:
+                                d[j] = ~dj
+                                pending = True
+                            elif last < dj <= c[j]:
+                                d[j] = last
         if pending:
             for j, dj in enumerate(d):
                 if dj < 0:

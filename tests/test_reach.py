@@ -190,9 +190,9 @@ class TestMeter:
 @settings(max_examples=150, deadline=None)
 def test_occurrence_index_matches_scan(w):
     # The index its docstring states, rebuilt by a plain scan of the walks.
-    occ = w._index[0]
+    occ, at = w._index[:2]
     repeats = tuple(not walk.is_simple for walk in w)
-    assert w._index == (occ, repeats, any(repeats))
+    assert w._index == (occ, at, repeats, any(repeats))
     assert set(occ) == {v for walk in w for v in walk.vertices}
     for v in range(w.implied_vertex_count + 2):
         expected = []
@@ -200,7 +200,13 @@ def test_occurrence_index_matches_scan(w):
             positions = [q for q, u in enumerate(walk.vertices) if u == v]
             if positions:
                 expected.append((i, max(positions)))
-        assert occ.get(v, ()) == tuple(expected)
+        assert occ.get(v, []) == expected
+    # Row i holds, at each position, the very entry list of its vertex.
+    assert len(at) == w.k
+    for row, walk in zip(at, w):
+        assert len(row) == len(walk)
+        for entries, v in zip(row, walk.vertices):
+            assert entries is occ[v]
 
 
 @given(instances(), st.data())
@@ -470,12 +476,48 @@ class TestRoundKinds:
         # Round 1: c = (4,), previous level the length (6,).  Walk 0
         # repeats vertex 5, at 0, 2 and 5, so the index holds no first
         # positions for it.  The two new positions cost no more than the
-        # prefix of 4, so the round pushes.  Vertex 0 makes walk 0
-        # pending, since d[0] = 4 > 0; vertex 5 then skips it, and the
-        # pull at round end finds vertex 5 at position 0.
+        # prefix of 4, so the round pushes.  Walk 0 is marked pending at
+        # its own turn, since c[0] = 4 > 0; its scan skips its own
+        # entries, and the pull at round end finds vertex 5 at position 0.
         w = WalkDecomposition([[5, 1, 5, 2, 0, 5]])
         assert levels(w, 0) == _reference_levels(w, 0) == [(4,), (0,)]
         assert _pulls_per_level(w, 0, monkeypatch) == [(), (0,), (0,)]
+
+    def test_walk_that_repeats_a_vertex_marks_itself_before_its_scan(self, monkeypatch):
+        # Walk 0 repeats vertex 0, at 0, 2 and 4.  Round 1: c = (5, 2),
+        # previous level the lengths (6, 4); new = 3 is not above sum(c) =
+        # 7, so the round pushes.  c[0] = 5 > 0, so walk 0's turn marks it
+        # pending before it scans its segment, whose own entries are
+        # skipped.  Walk 1 scans its segment after it, and only then,
+        # after 4 lookups (the source's included), the sweep pulls walk 0
+        # to 3, where vertex 4 occurs after c[1].  Round 2: c = (3, 2),
+        # previous level (5, 2); only walk 0 moved, so no other walk's
+        # scan can mark it: its own turn does, and after its 2 lookups
+        # the sweep pulls it to 0, since vertex 0 occurs again at 4.
+        # Round 3, with new = 3 > sum(c) = 2, pulls every walk and moves
+        # nothing.
+        w = WalkDecomposition([[0, 2, 0, 4, 0, 1], [6, 3, 1, 4]])
+        index, _ = _counted(w)
+        pull, pulled = reach._pull, []
+
+        def spy(paths, occ, c, j):
+            pulled.append((j, index.lookups))
+            return pull(paths, occ, c, j)
+
+        monkeypatch.setattr(reach, "_pull", spy)
+        assert levels(w, 1) == _reference_levels(w, 1) == [(5, 2), (3, 2), (0, 2)]
+        assert pulled == [(0, 4), (0, 10), (0, 11), (1, 11)]
+
+    def test_walk_that_repeats_a_vertex_from_its_start_is_not_marked(self, monkeypatch):
+        # Round 1: c = (0, 4), previous level the lengths (3, 5); new = 4
+        # is not above sum(c) = 4, so the round pushes.  Walk 0 repeats
+        # vertex 0 and scans its whole segment from c[0] = 0, below which
+        # no position lies, so its turn does not mark it.  Vertex 0's
+        # entry in walk 1 sits at its register, and walk 1's scan finds
+        # walk 0's entry at 2, after c[0]: nothing is marked or pulled.
+        w = WalkDecomposition([[0, 1, 0], [5, 6, 7, 8, 0]])
+        assert levels(w, 0) == _reference_levels(w, 0) == [(0, 4), (0, 4)]
+        assert _pulls_per_level(w, 0, monkeypatch) == [(), (), ()]
 
     def test_round_whose_new_segments_equal_the_prefixes_pushes(self, monkeypatch):
         # Walk 1 repeats vertex 3, so the rule runs.  Round 1: c = (2, 2),
@@ -501,7 +543,8 @@ class TestRoundKinds:
 
 
 class _CountingIndex(dict):
-    """An occurrence index that counts its lookups, by subscript or get."""
+    """An occurrence index that counts its lookups, by subscript or get;
+    its rows add their reads to the same count (_CountingRow)."""
 
     lookups = 0
 
@@ -530,12 +573,28 @@ class _CountingWalk(tuple):
         return q
 
 
+class _CountingRow(tuple):
+    """A row of the occurrence index whose every read at[i][q] counts one
+    lookup of its index, as occ[v] does."""
+
+    def __new__(cls, index, entries):
+        row = super().__new__(cls, entries)
+        row.index = index
+        return row
+
+    def __getitem__(self, q):
+        self.index.lookups += 1
+        return super().__getitem__(q)
+
+
 def _counted(w):
-    """Make w count its index lookups and the positions its walks' index
-    calls compare; return both counters' holders."""
-    occ, repeats, any_repeats = w._index
+    """Make w count its index lookups, row reads included, and the
+    positions its walks' index calls compare; return both counters'
+    holders."""
+    occ, at, repeats, any_repeats = w._index
     index = _CountingIndex(occ)
-    w.__dict__["_index"] = index, repeats, any_repeats
+    rows = tuple(_CountingRow(index, row) for row in at)
+    w.__dict__["_index"] = index, rows, repeats, any_repeats
     walks = w.__dict__["_paths"] = tuple(map(_CountingWalk, w._paths))
     return index, walks
 
@@ -612,8 +671,8 @@ def test_long_walk_query_work_is_linear_in_length(length, repeats):
     # prefix, so the round pushes it.  On a path each vertex's position
     # comes from the index and no position is compared.  When the walk
     # repeats a vertex (here one past the source, once more at the end),
-    # the source's lookup compares its prefix, the source's own push
-    # makes the walk pending, and one pull at round end looks up the
+    # the source's lookup compares its prefix, the walk marks itself
+    # pending at its turn, and one pull at round end looks up the
     # prefix once: 1001 lookups plus 667 compared positions at length
     # 1000.
     s = 2 * length // 3
@@ -637,15 +696,16 @@ def simple_walks(max_n=12, max_k=5, max_len=10):
                  st.builds(minimal_path_decomposition, random_dags(max_n=12))))
 @settings(max_examples=100, deadline=None)
 def test_path_query_work_bound(w):
-    # On paths every round pushes, and a pending walk is pulled at its
-    # own turn.  Push segments never overlap, so pushes look up each of
-    # the L positions at most once.  A pull of walk j from c looks up at
-    # most c[j] positions, and j is pulled only in a round after one in
-    # which it moved, so its pulls see strictly decreasing c[j] below
-    # len(j): at most len(j)(len(j) - 1)/2 lookups in all.  The ladder
-    # family below shows that this quadratic term is real.  Beside both,
-    # the source and the target are looked up once each.  No position is
-    # compared, since a path's first positions are its last ones.
+    # On paths every round pushes, and a pending walk is pulled in the
+    # round-end sweep.  Push segments never overlap, so pushes look up
+    # each of the L positions at most once.  A pull of walk j from c
+    # looks up at most c[j] positions, and j is pulled only in a round
+    # after one in which it moved, so its pulls see strictly decreasing
+    # c[j] below len(j): at most len(j)(len(j) - 1)/2 lookups in all.
+    # The ladder family below shows that this quadratic term is real.
+    # Beside both, the source and the target are looked up once each.
+    # No position is compared, since a path's first positions are its
+    # last ones.
     lengths = list(map(len, w._paths))
     index, walks = _counted(w)
     pull, pulled = reach._pull, []
@@ -785,8 +845,8 @@ def _ladder(m):
 def test_ladder_query_pending_pulls_are_quadratic(m):
     # Each round, walk 0's new segment holds a vertex of walk 1, which
     # moved the round before and has not had its turn: walk 1 goes
-    # pending, and its pull at its turn scans its prefix, which shrinks by
-    # two positions per round.  So the query makes (m + 3)(m - 1) + 2
+    # pending, and its pull at round end scans its prefix, which shrinks
+    # by two positions per round.  So the query makes (m + 3)(m - 1) + 2
     # lookups, the source's and the target's included, 25,919 at m = 160
     # against L = 4m = 640 positions: on paths the pending pulls are
     # quadratic, not bounded by 2L.  Storing the pushed position of a
