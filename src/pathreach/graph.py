@@ -153,10 +153,10 @@ def parse_graph(text: str) -> Digraph:
     """Parse the graph file format.
 
     Lines starting with '#' and blank lines are ignored.  Exactly one
-    header line "n <N>" with any N >= 0 must precede any edge line
-    "e <u> <v>".  Duplicate edge lines, loops, and out-of-range endpoints
-    are hard errors; the first error in file order is reported.  Memory
-    and time follow the edges, not N.
+    header line "n <N>", N >= 0, must precede any edge line "e <u> <v>";
+    N and the endpoints have at most 4300 digits, CPython's default limit.
+    Duplicate edges, loops and out-of-range endpoints are hard errors, the
+    first in file order reported.  Memory and time follow the edges, not N.
     """
     canonical = _CANONICAL.fullmatch(text)
     if canonical is not None:

@@ -34,13 +34,13 @@ class ReachResult:
     peak_words: int
 
 
-def _pull(paths, occ, c, j) -> int:
+def _pull(at, c, j) -> int:
     """Walk j's next register: its first position below c[j] whose vertex
     occurs at or after c[i] in some walk i, else c[j], since positions
     from c[j] on qualify already."""
-    vs = paths[j]
+    row = at[j]
     for q in range(c[j]):
-        for i, last in occ[vs[q]]:
+        for i, last in row[q]:
             if last >= c[i]:
                 return q
     return c[j]
@@ -80,7 +80,7 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     when c[i] > 0.  A pending d[j] holds ~d[j], a negative int, so its
     segment end survives without flag bits; it ignores later pushes and
     still scans its segment at its turn.  A pull runs _pull, at most c[j]
-    lookups: from c it checks every vertex known at the current level,
+    row reads: from c it checks every vertex known at the current level,
     so it yields the complete next register.  When some walk repeats a
     vertex and the new segments are longer than the prefixes, sum(d) >
     2 * sum(c), the round marks every walk pending instead of pushing;
@@ -91,10 +91,10 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     scanned walk i, its segment end, the scan position q, the cursor into
     the entries at[i][q], the pushed walk j and the entry's last (dj only
     caches d[j]), beside the one bit that records a mark; the row is
-    read-only input, as the walk is.  A pull holds eight: the round
-    counter, the sweep's cursor and the pulled walk j, and in _pull q,
-    vs[q], the entry cursor, and the entry's walk and last.  The sums
-    that pick the kind of round are dead once it starts.
+    read-only input, as the walk is.  A pull holds seven and no vertex:
+    the round counter, the sweep's cursor and the pulled walk j, and in
+    _pull q, the cursor into the entries at[j][q], and the entry's walk
+    and last.  The sums that pick the kind of round are dead once it starts.
     """
     occ, at, repeats, any_repeats = w._index
     source = occ.get(s)
@@ -137,7 +137,7 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
         if pending:
             for j, dj in enumerate(d):
                 if dj < 0:
-                    d[j] = _pull(paths, occ, c, j)
+                    d[j] = _pull(at, c, j)
         if level and d == c:
             return
         level += 1

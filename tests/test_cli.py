@@ -254,6 +254,42 @@ class TestHugeGraphHeader:
         assert elapsed < 2.0
 
 
+class TestIntegerDigitLimit:
+    # CPython's default limit on converting a string to an int
+    # (sys.get_int_max_str_digits()) caps a header, an endpoint and a
+    # vertex id at 4300 digits; one more is an input error.
+    LONG, LIMIT = "9" * 4301, "9" * 4300
+
+    @pytest.mark.parametrize("name, text, command, message", [
+        ("header.g", f"n {LONG}\ne 0 1\n", ["pathnum-lb", "--graph"],
+         f"line 1: expected integer, got '{LONG}'"),
+        ("endpoint.g", f"n 5\ne 0 {LONG}\n", ["pathnum-lb", "--graph"],
+         f"line 2: expected integer, got '{LONG}'"),
+        ("id.walks", f"0 {LONG}\n", ["reach", "--from", "0", "--to", "1", "--decomp"],
+         "line 1: walk lines must contain integers"),
+    ], ids=["header", "endpoint", "id"])
+    def test_one_digit_over_the_limit_is_an_input_error(
+            self, tmp_path, capsys, name, text, command, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run([*command, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("name, text, command, stdout", [
+        ("header.g", f"n {LIMIT}\ne 0 1\n", ["pathnum-lb", "--graph"], "1\n"),
+        ("endpoint.g", f"n {LIMIT}\ne 0 {'8' * 4300}\n", ["pathnum-lb", "--graph"], "1\n"),
+        ("id.walks", f"0 {LIMIT}\n", ["reach", "--from", "0", "--to", LIMIT, "--decomp"],
+         "REACHABLE switches=0 iterations=0 peak_words=10\n"),
+    ], ids=["header", "endpoint", "id"])
+    def test_limit_digits_parse(self, tmp_path, capsys, name, text, command, stdout):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run([*command, str(path)]) == 0
+        assert capsys.readouterr() == (stdout, "")
+
+
 class TestValidate:
     def test_walks_ok(self, tmp_path, overlap_decomp, capsys):
         g = tmp_path / "u.g"

@@ -372,9 +372,9 @@ def _pulls_per_level(w, s, monkeypatch):
     moves nothing and yields no level."""
     pull, pulled = reach._pull, []
 
-    def spy(paths, occ, c, j):
+    def spy(at, c, j):
         pulled.append(j)
-        return pull(paths, occ, c, j)
+        return pull(at, c, j)
 
     monkeypatch.setattr(reach, "_pull", spy)
     per_level = []
@@ -452,9 +452,9 @@ class TestRoundKinds:
         index, _ = _counted(w)
         pull, pulled = reach._pull, []
 
-        def spy(paths, occ, c, j):
+        def spy(at, c, j):
             pulled.append((j, index.lookups))
-            return pull(paths, occ, c, j)
+            return pull(at, c, j)
 
         monkeypatch.setattr(reach, "_pull", spy)
         assert levels(w, 0) == _reference_levels(w, 0) == [(0, 1, 0), (0, 0, 0)]
@@ -500,9 +500,9 @@ class TestRoundKinds:
         index, _ = _counted(w)
         pull, pulled = reach._pull, []
 
-        def spy(paths, occ, c, j):
+        def spy(at, c, j):
             pulled.append((j, index.lookups))
-            return pull(paths, occ, c, j)
+            return pull(at, c, j)
 
         monkeypatch.setattr(reach, "_pull", spy)
         assert levels(w, 1) == _reference_levels(w, 1) == [(5, 2), (3, 2), (0, 2)]
@@ -543,14 +543,15 @@ class TestRoundKinds:
 
 
 class _CountingIndex(dict):
-    """An occurrence index that counts its lookups, by subscript or get;
-    its rows add their reads to the same count (_CountingRow)."""
+    """An occurrence index that counts its lookups, which a query makes by
+    get only, for the source and the target; its rows add their reads to
+    the same count (_CountingRow), and a subscript fails, since every
+    per-position read goes through a row."""
 
     lookups = 0
 
     def __getitem__(self, v):
-        self.lookups += 1
-        return super().__getitem__(v)
+        raise AssertionError(f"occurrence index subscripted for vertex {v!r}")
 
     def get(self, v, default=None):
         self.lookups += 1
@@ -575,7 +576,7 @@ class _CountingWalk(tuple):
 
 class _CountingRow(tuple):
     """A row of the occurrence index whose every read at[i][q] counts one
-    lookup of its index, as occ[v] does."""
+    lookup of its index, as occ.get(v) does."""
 
     def __new__(cls, index, entries):
         row = super().__new__(cls, entries)
@@ -710,9 +711,9 @@ def test_path_query_work_bound(w):
     index, walks = _counted(w)
     pull, pulled = reach._pull, []
 
-    def spy(paths, occ, c, j):
+    def spy(at, c, j):
         before = index.lookups
-        q = pull(paths, occ, c, j)
+        q = pull(at, c, j)
         pulled.append((j, c[j], index.lookups - before))
         return q
 
