@@ -64,22 +64,25 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
     the previous level, so a vertex from d[i] on has already lowered
     every register it can.
 
-    A push visits the walks in order and scans each new segment once,
+    A push visits the walks in order.  At its turn walk i, unless
+    pending, sets d[i] = c[i]; it scans its new segment once, in all
     sum(d) - sum(c) index lookups: the entries of position q of walk i
-    are read from its row, at[i][q].  A scanned vertex may lower d[j] in
-    each other walk j it occurs in.  In a path its one position is the
-    entry's last, which the push writes into d[j] once j has no segment
-    left to scan (d[j] <= c[j]).  A push marks a walk pending when it can
-    lower its register but cannot write it; every pending walk is pulled
-    at round end.  That is a walk j that repeats a vertex, unless d[j] is
-    0, below which nothing lies, and a path whose segment is still to
-    scan, when last < c[j]: an entry at or after c[j] is reached at this
-    level already.  So the scan skips walk i's own entries: on a path
-    they sit at or after c[i] and lower nothing, and a walk i that
-    repeats a vertex marks itself once, at its turn before its scan,
-    when c[i] > 0.  A pending d[j] holds ~d[j], a negative int, so its
-    segment end survives without flag bits; it ignores later pushes and
-    still scans its segment at its turn.  A pull runs _pull, at most c[j]
+    are read from its row, at[i][q].
+    A scanned vertex may lower d[j] in each walk j it occurs in, walk i
+    included, and the push tests the entry (j, last) by the kind of j.
+    A push marks a walk pending when it can lower its register but
+    cannot write it; every pending walk is pulled at round end.  A walk
+    j that repeats a vertex is marked unless d[j] is 0, below which
+    nothing lies.  In a path the vertex's one position is last, which
+    lowers d[j] only when last < d[j]: the push writes it into d[j] once
+    j has no segment left to scan (d[j] <= c[j]), and otherwise marks j
+    when last < c[j], since an entry at or after c[j] is reached at this
+    level already.  Walk i's own entries need no rule of their own: on
+    a path they sit at or after d[i] = c[i] and lower nothing, and in a
+    walk that repeats a vertex the first one marks it when c[i] > 0.  A
+    pending d[j] holds ~d[j], a negative int, so its segment end
+    survives without flag bits; it ignores later pushes and still scans
+    its segment at its turn.  A pull runs _pull, at most c[j]
     row reads: from c it checks every vertex known at the current level,
     so it yields the complete next register.  When some walk repeats a
     vertex and the new segments are longer than the prefixes, sum(d) >
@@ -117,23 +120,23 @@ def _rounds(w: WalkDecomposition, s: int) -> Iterator[tuple[int, list[int], list
                 if end < 0:
                     end = ~end
                 elif end > c[i]:
-                    if repeats[i] and c[i]:
-                        d[i] = ~c[i]
-                        pending = True
-                    else:
-                        d[i] = c[i]
+                    d[i] = c[i]
                 else:
                     continue
                 row = at[i]
                 for q in range(c[i], end):
                     for j, last in row[q]:
-                        if j != i:
-                            dj = d[j]
-                            if dj > c[j] > last or repeats[j] and dj > 0:
+                        dj = d[j]
+                        if repeats[j]:
+                            if dj > 0:
                                 d[j] = ~dj
                                 pending = True
-                            elif last < dj <= c[j]:
+                        elif last < dj:
+                            if dj <= c[j]:
                                 d[j] = last
+                            elif last < c[j]:
+                                d[j] = ~dj
+                                pending = True
         if pending:
             for j, dj in enumerate(d):
                 if dj < 0:

@@ -476,9 +476,10 @@ class TestRoundKinds:
         # Round 1: c = (4,), previous level the length (6,).  Walk 0
         # repeats vertex 5, at 0, 2 and 5, so the index holds no first
         # positions for it.  The two new positions cost no more than the
-        # prefix of 4, so the round pushes.  Walk 0 is marked pending at
-        # its own turn, since c[0] = 4 > 0; its scan skips its own
-        # entries, and the pull at round end finds vertex 5 at position 0.
+        # prefix of 4, so the round pushes.  Walk 0's scan reads its own
+        # entries: vertex 0's marks it pending, since d[0] = c[0] = 4 > 0,
+        # and vertex 5's finds it pending already.  The pull at round end
+        # finds vertex 5 at position 0.
         w = WalkDecomposition([[5, 1, 5, 2, 0, 5]])
         assert levels(w, 0) == _reference_levels(w, 0) == [(4,), (0,)]
         assert _pulls_per_level(w, 0, monkeypatch) == [(), (0,), (0,)]
@@ -486,14 +487,15 @@ class TestRoundKinds:
     def test_walk_that_repeats_a_vertex_marks_itself_before_its_scan(self, monkeypatch):
         # Walk 0 repeats vertex 0, at 0, 2 and 4.  Round 1: c = (5, 2),
         # previous level the lengths (6, 4); new = 3 is not above sum(c) =
-        # 7, so the round pushes.  c[0] = 5 > 0, so walk 0's turn marks it
-        # pending before it scans its segment, whose own entries are
-        # skipped.  Walk 1 scans its segment after it, and only then,
-        # after 4 lookups (the source's included), the sweep pulls walk 0
-        # to 3, where vertex 4 occurs after c[1].  Round 2: c = (3, 2),
-        # previous level (5, 2); only walk 0 moved, so no other walk's
-        # scan can mark it: its own turn does, and after its 2 lookups
-        # the sweep pulls it to 0, since vertex 0 occurs again at 4.
+        # 7, so the round pushes.  Walk 0's scan starts with its own entry
+        # for vertex 1, which marks it pending, since d[0] = c[0] = 5 > 0,
+        # before any other walk is scanned.  Walk 1 scans its segment
+        # after it, and only then, after 4 lookups (the source's
+        # included), the sweep pulls walk 0 to 3, where vertex 4 occurs
+        # after c[1].  Round 2: c = (3, 2), previous level (5, 2); only
+        # walk 0 moved, so no other walk's scan can mark it: its own entry
+        # for vertex 4 does, and after its 2 lookups the sweep pulls it
+        # to 0, since vertex 0 occurs again at 4.
         # Round 3, with new = 3 > sum(c) = 2, pulls every walk and moves
         # nothing.
         w = WalkDecomposition([[0, 2, 0, 4, 0, 1], [6, 3, 1, 4]])
@@ -511,10 +513,11 @@ class TestRoundKinds:
     def test_walk_that_repeats_a_vertex_from_its_start_is_not_marked(self, monkeypatch):
         # Round 1: c = (0, 4), previous level the lengths (3, 5); new = 4
         # is not above sum(c) = 4, so the round pushes.  Walk 0 repeats
-        # vertex 0 and scans its whole segment from c[0] = 0, below which
-        # no position lies, so its turn does not mark it.  Vertex 0's
-        # entry in walk 1 sits at its register, and walk 1's scan finds
-        # walk 0's entry at 2, after c[0]: nothing is marked or pulled.
+        # vertex 0 and scans its whole segment from d[0] = c[0] = 0, below
+        # which no position lies, so its own entries do not mark it.
+        # Vertex 0's entry in walk 1 sits at its register, and walk 1's
+        # scan finds walk 0's entry at 2, after c[0]: nothing is marked or
+        # pulled.
         w = WalkDecomposition([[0, 1, 0], [5, 6, 7, 8, 0]])
         assert levels(w, 0) == _reference_levels(w, 0) == [(0, 4), (0, 4)]
         assert _pulls_per_level(w, 0, monkeypatch) == [(), (), ()]
@@ -672,10 +675,10 @@ def test_long_walk_query_work_is_linear_in_length(length, repeats):
     # prefix, so the round pushes it.  On a path each vertex's position
     # comes from the index and no position is compared.  When the walk
     # repeats a vertex (here one past the source, once more at the end),
-    # the source's lookup compares its prefix, the walk marks itself
-    # pending at its turn, and one pull at round end looks up the
-    # prefix once: 1001 lookups plus 667 compared positions at length
-    # 1000.
+    # the source's lookup compares its prefix, the walk's own entry for
+    # the source, first in its scan, marks it pending, and one pull at
+    # round end looks up the prefix once: 1001 lookups plus 667
+    # compared positions at length 1000.
     s = 2 * length // 3
     w = WalkDecomposition([list(range(length)) + [s + 1] * repeats])
     index, walks = _counted(w)
